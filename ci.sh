@@ -8,7 +8,8 @@
 #   3. tier-1 verify (ROADMAP.md): release build + test suite
 #   4. examples smoke: quickstart (+ exported trace JSON), crash_recovery
 #   5. bench smoke: simkernel throughput JSON + micro industry CSV
-#   6. allocation gate: gather/replay migration hot path stays sub-per-record
+#   6. allocation gate: gather/replay + traced RPC (migration hot path stays
+#      sub-per-record; recording a traced RPC allocates nothing, amortized)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -162,7 +163,7 @@ for path in ('BENCH_micro.json', 'BENCH_simkernel.json'):
 print('bench baseline schemas OK')
 EOF
 
-echo "==> allocation gate: migration gather/replay path"
+echo "==> allocation gate: gather/replay + traced RPC"
 cargo test -q --test alloc_gate
 
 echo "CI OK"

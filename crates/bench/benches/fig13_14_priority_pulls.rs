@@ -18,6 +18,7 @@ use rocksteady_bench::{
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::{Histogram, MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
+use rocksteady_trace::RpcInstant;
 use rocksteady_workload::YcsbConfig;
 use std::collections::HashSet;
 
@@ -154,22 +155,17 @@ fn decomp_split(out: &Out) -> Vec<DecompSeries> {
             ),
         ];
         for ev in events {
-            if ev.name != "read" || ev.cat != "rpc" {
-                continue;
-            }
-            let (Some(trace), Some(q), Some(sv), Some(h)) = (
-                ev.arg("trace"),
-                ev.arg("queue"),
-                ev.arg("service"),
-                ev.arg("hold"),
-            ) else {
+            let Some(rpc) = RpcInstant::decode(ev) else {
                 continue;
             };
-            let row = &mut series[usize::from(crossed.contains(&trace))];
+            if rpc.name != "read" || rpc.trace == 0 {
+                continue;
+            }
+            let row = &mut series[usize::from(crossed.contains(&rpc.trace))];
             row.1 += 1;
-            row.2.record(q);
-            row.3.record(sv);
-            row.4.record(h);
+            row.2.record(rpc.queue);
+            row.3.record(rpc.service);
+            row.4.record(rpc.hold);
         }
         series
     })

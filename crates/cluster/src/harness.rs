@@ -765,17 +765,15 @@ impl Cluster {
     /// the off-path PriorityPull a waiting read spawned). Empty when
     /// tracing is off. Sorted by trace id; byte-stable per seed.
     pub fn journeys(&self) -> Vec<Journey> {
-        let dropped = self.trace.dropped();
-        self.trace
-            .with_events(|events| journey::reconstruct(events, dropped))
+        self.trace.with_events(journey::reconstruct)
     }
 
     /// The journey of one specific operation, by trace id. `None` when
-    /// tracing is off or no attempt of that operation was recorded.
+    /// tracing is off or no attempt of that operation was recorded. Only
+    /// that operation's events are stitched.
     pub fn request_journey(&self, trace: rocksteady_common::TraceId) -> Option<Journey> {
-        let dropped = self.trace.dropped();
         self.trace
-            .with_events(|events| journey::find(events, dropped, trace.0))
+            .with_events(|events| journey::find(events, trace.0))
     }
 
     /// Every reconstructed journey as the deterministic
@@ -792,9 +790,8 @@ impl Cluster {
     pub fn tail_blame_chains(&self, k: usize) -> Option<Vec<String>> {
         let sla = self.cfg.sla?;
         let journeys = self.journeys();
-        let slow: Vec<Journey> = journeys.into_iter().filter(|j| j.e2e > sla).collect();
         Some(
-            journey::slowest(&slow, k)
+            journey::slowest(journeys.iter().filter(|j| j.e2e > sla), k)
                 .iter()
                 .map(|j| format!("e2e={}ns attempts={} {}", j.e2e, j.attempts, j.chain()))
                 .collect(),

@@ -10,6 +10,7 @@
 //! runs export byte-identical bundles.
 
 use rocksteady_audit::AuditSink;
+use rocksteady_common::json::push_u64;
 use rocksteady_common::Nanos;
 use rocksteady_flightrec::{push_escaped, DetectorReading, FlightRecorderConfig};
 use rocksteady_metrics::{deltas_to_json, CounterDelta};
@@ -63,7 +64,7 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
     out.push_str("{\"schema\":\"");
     out.push_str(INCIDENT_SCHEMA);
     out.push_str("\",\"at\":");
-    out.push_str(&inp.at.to_string());
+    push_u64(&mut out, inp.at);
     out.push_str(",\"trigger\":\"");
     out.push_str(inp.trigger);
     out.push_str("\",\"readings\":[");
@@ -74,18 +75,18 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
         out.push_str(&r.to_json());
     }
     out.push_str("],\"burn\":{\"fast_permille\":");
-    out.push_str(&inp.burn.0.to_string());
+    push_u64(&mut out, inp.burn.0);
     out.push_str(",\"slow_permille\":");
-    out.push_str(&inp.burn.1.to_string());
+    push_u64(&mut out, inp.burn.1);
     out.push('}');
 
     // Trace slice: the last `bundle_trace_window_ns` of completed
     // events, plus ring drop accounting.
     let since = inp.at.saturating_sub(cfg.bundle_trace_window_ns);
     out.push_str(",\"trace\":{\"window_ns\":");
-    out.push_str(&cfg.bundle_trace_window_ns.to_string());
+    push_u64(&mut out, cfg.bundle_trace_window_ns);
     out.push_str(",\"dropped\":");
-    out.push_str(&inp.trace.dropped().to_string());
+    push_u64(&mut out, inp.trace.dropped());
     out.push_str(",\"chrome\":");
     out.push_str(&inp.trace.export_chrome_json_since(since));
     out.push('}');
@@ -101,13 +102,13 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
             out.push(',');
         }
         out.push_str("{\"server\":");
-        out.push_str(&core.server.to_string());
+        push_u64(&mut out, u64::from(core.server));
         out.push_str(",\"core\":\"");
         out.push_str(&core_label(core.core));
         out.push_str("\",\"wall\":");
-        out.push_str(&core.wall.to_string());
+        push_u64(&mut out, core.wall);
         out.push_str(",\"overcommit_ns\":");
-        out.push_str(&core.overcommit_ns.to_string());
+        push_u64(&mut out, core.overcommit_ns);
         out.push_str(",\"buckets\":{");
         for (j, act) in Activity::ALL.iter().enumerate() {
             if j > 0 {
@@ -116,7 +117,7 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
             out.push('"');
             out.push_str(act.label());
             out.push_str("\":");
-            out.push_str(&core.buckets[j].to_string());
+            push_u64(&mut out, core.buckets[j]);
         }
         out.push_str("}}");
     }
@@ -125,42 +126,36 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
     // Audit tail: the trailing events of the (possibly ring-bounded)
     // audit stream.
     out.push_str(",\"audit\":{\"dropped\":");
-    out.push_str(&inp.audit.dropped().to_string());
+    push_u64(&mut out, inp.audit.dropped());
     out.push_str(",\"tail\":[");
-    if let Some(tail) = inp.audit.with_events(|events| {
+    inp.audit.with_events(|events| {
         let start = events.len().saturating_sub(cfg.audit_tail_events);
-        let mut t = String::new();
         for (i, ev) in events[start..].iter().enumerate() {
             if i > 0 {
-                t.push(',');
+                out.push(',');
             }
-            t.push_str("{\"seq\":");
-            t.push_str(&ev.seq.to_string());
-            t.push_str(",\"at\":");
-            t.push_str(&ev.at.to_string());
-            t.push_str(",\"event\":\"");
-            t.push_str(ev.kind.label());
-            t.push_str("\"}");
+            out.push_str("{\"seq\":");
+            push_u64(&mut out, ev.seq);
+            out.push_str(",\"at\":");
+            push_u64(&mut out, ev.at);
+            out.push_str(",\"event\":\"");
+            out.push_str(ev.kind.label());
+            out.push_str("\"}");
         }
-        t
-    }) {
-        out.push_str(&tail);
-    }
+    });
     out.push_str("]}");
 
     // The trigger window's slowest request journeys: the cross-node
     // causal chains of the requests this incident actually hurt. The
     // trace ring is completion-ordered, so the window is a suffix.
     out.push_str(",\"journeys\":");
-    let journeys_json = inp.trace.with_events(|events| {
-        let from = events.partition_point(|e| e.ts + e.dur < since);
-        let all = journey::reconstruct(&events[from..], inp.trace.dropped());
-        journey::export_json(
-            &journey::slowest(&all, cfg.bundle_journeys),
-            inp.trace.dropped(),
-        )
-    });
-    out.push_str(&journeys_json);
+    let all = inp
+        .trace
+        .with_events(|events| journey::reconstruct(events.since(since)));
+    out.push_str(&journey::export_json(
+        journey::slowest(&all, cfg.bundle_journeys),
+        inp.trace.dropped(),
+    ));
 
     // Causal explain, when the audit layer could produce one. The
     // explain output is itself JSON; embed verbatim.
@@ -194,7 +189,7 @@ pub fn incidents_to_json(incidents: &[Incident]) -> String {
 pub fn summarize(inc: &Incident) -> String {
     let mut out = String::new();
     out.push_str("incident at ");
-    out.push_str(&inc.at.to_string());
+    push_u64(&mut out, inc.at);
     out.push_str("ns: ");
     push_escaped(&mut out, inc.trigger);
     out

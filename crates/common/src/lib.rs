@@ -16,11 +16,14 @@
 //! - Measurement primitives: a log-bucketed latency [`hist::Histogram`]
 //!   (sufficient resolution for 99.9th-percentile queries) and the
 //!   [`hist::TimeSeries`] recorder behind the paper's timeline figures.
+//! - Allocation-free integer writers ([`json::push_u64`], [`json::push_us`])
+//!   shared by the hand-rolled JSON exporters.
 
 pub mod cost;
 pub mod fxmap;
 pub mod hist;
 pub mod ids;
+pub mod json;
 pub mod range;
 pub mod rng;
 pub mod time;

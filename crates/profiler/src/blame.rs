@@ -10,7 +10,7 @@
 //! p99.9 breached; this says *why*.
 
 use rocksteady_common::Nanos;
-use rocksteady_trace::{Phase, TraceEvent};
+use rocksteady_trace::{Events, RpcInstant};
 
 /// The four server-side latency segments, in instant-arg order.
 pub const BLAME_SEGMENTS: [&str; 4] = ["net", "queue", "service", "hold"];
@@ -69,25 +69,24 @@ impl TailBlameReport {
 /// Aggregates the per-RPC decomposition instants in `events` into a
 /// blame histogram for requests whose server-observed end-to-end time
 /// exceeded `sla`.
-pub fn tail_blame(events: &[TraceEvent], sla: Nanos) -> TailBlameReport {
+pub fn tail_blame(events: Events<'_>, sla: Nanos) -> TailBlameReport {
     let mut report = TailBlameReport {
         sla,
         ..TailBlameReport::default()
     };
     for ev in events {
-        if ev.ph != Phase::Instant || ev.cat != "rpc" {
-            continue;
-        }
         // Server-side decomposition instants carry the four segments;
-        // client-side `rpc-client` instants in the same category don't.
-        let (Some(sent), Some(resp), Some(net), Some(queue), Some(service), Some(hold)) = (
-            ev.arg("sent_at"),
-            ev.arg("resp_sent"),
-            ev.arg("net_in"),
-            ev.arg("queue"),
-            ev.arg("service"),
-            ev.arg("hold"),
-        ) else {
+        // client-side `rpc-client` instants don't decode.
+        let Some(RpcInstant {
+            sent_at: sent,
+            resp_sent: resp,
+            net_in: net,
+            queue,
+            service,
+            hold,
+            ..
+        }) = RpcInstant::decode(ev)
+        else {
             continue;
         };
         report.total_rpcs += 1;
@@ -113,37 +112,41 @@ pub fn tail_blame(events: &[TraceEvent], sla: Nanos) -> TailBlameReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rocksteady_trace::{schema, Tracer};
 
-    fn rpc_instant(sent: Nanos, segments: [Nanos; 4]) -> TraceEvent {
-        let resp = sent + segments.iter().sum::<Nanos>();
-        TraceEvent {
-            name: "rpc",
-            cat: "rpc",
-            ph: Phase::Instant,
-            ts: resp,
-            dur: 0,
-            pid: 1,
-            tid: 0,
-            args: vec![
-                ("sent_at", sent),
-                ("resp_sent", resp),
-                ("net_in", segments[0]),
-                ("queue", segments[1]),
-                ("service", segments[2]),
-                ("hold", segments[3]),
-            ],
-        }
+    fn rpc_instant(t: &Tracer, sent: Nanos, [net, queue, service, hold]: [Nanos; 4]) {
+        let resp = sent + net + queue + service + hold;
+        let service_end = resp - hold;
+        let vals = [
+            9,
+            1,
+            sent,
+            sent + net,
+            sent + net + queue,
+            service_end,
+            resp,
+            net,
+            0,
+            queue,
+            service,
+            hold,
+        ];
+        let keys = &schema::RPC[..schema::RPC_UNTRACED_LEN];
+        t.instant("rpc", "rpc", 1, 0, resp, keys, &vals);
     }
 
     #[test]
     fn slow_requests_blame_their_dominant_segment() {
-        let events = vec![
-            rpc_instant(0, [1, 1, 1, 0]),     // fast: ignored
-            rpc_instant(10, [2, 50, 10, 0]),  // slow: queue
-            rpc_instant(20, [2, 5, 10, 100]), // slow: hold
-            rpc_instant(30, [2, 90, 10, 0]),  // slow: queue
-        ];
-        let report = tail_blame(&events, 20);
+        let t = Tracer::armed();
+        rpc_instant(&t, 0, [1, 1, 1, 0]); // fast: ignored
+        rpc_instant(&t, 10, [2, 50, 10, 0]); // slow: queue
+        rpc_instant(&t, 20, [2, 5, 10, 100]); // slow: hold
+        rpc_instant(&t, 30, [2, 90, 10, 0]); // slow: queue
+
+        // A client attempt instant is not a decomposition instant.
+        let client = [1, 0, 5, 5, 7, 1, 0];
+        t.instant("rpc-client", "client", 9, 0, 5, &schema::CLIENT, &client);
+        let report = t.with_events(|e| tail_blame(e, 20));
         assert_eq!(report.total_rpcs, 4);
         assert_eq!(report.slow_rpcs, 3);
         assert_eq!(report.blame_counts, [0, 2, 0, 1]);
@@ -159,7 +162,9 @@ mod tests {
 
     #[test]
     fn no_slow_requests_means_no_blame() {
-        let report = tail_blame(&[rpc_instant(0, [1, 1, 1, 0])], 1000);
+        let t = Tracer::armed();
+        rpc_instant(&t, 0, [1, 1, 1, 0]);
+        let report = t.with_events(|e| tail_blame(e, 1000));
         assert_eq!(report.slow_rpcs, 0);
         assert_eq!(report.dominant(), None);
     }

@@ -17,7 +17,7 @@
 //! exactly, and ranking them yields the blocking chain.
 
 use rocksteady_common::Nanos;
-use rocksteady_trace::{lanes, Phase, TraceEvent};
+use rocksteady_trace::{lanes, Events, Phase};
 
 /// Sweep classes, in blocking priority order (lower wins a tie).
 const CLASS_REPLAY: usize = 0;
@@ -95,7 +95,7 @@ impl CriticalPathReport {
 /// Walks the trace buffer and computes the blocking chain of the most
 /// recent *completed* migration. Returns `None` if no migration span
 /// was recorded (tracing off, or the migration was abandoned).
-pub fn critical_path(events: &[TraceEvent]) -> Option<CriticalPathReport> {
+pub fn critical_path(events: Events<'_>) -> Option<CriticalPathReport> {
     let mig = events
         .iter()
         .rev()
@@ -199,30 +199,21 @@ pub fn critical_path(events: &[TraceEvent]) -> Option<CriticalPathReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rocksteady_trace::Tracer;
 
-    fn span(name: &'static str, pid: u64, tid: u64, ts: Nanos, dur: Nanos) -> TraceEvent {
-        TraceEvent {
-            name,
-            cat: "test",
-            ph: Phase::Span,
-            ts,
-            dur,
-            pid,
-            tid,
-            args: Vec::new(),
-        }
+    fn span(t: &Tracer, name: &'static str, pid: u64, tid: u64, ts: Nanos, dur: Nanos) {
+        t.span(name, "test", pid, tid, ts, dur, &[], &[]);
     }
 
     #[test]
     fn sweep_tiles_the_migration_interval() {
-        let mut events = vec![
-            span("mig:prepare", 2, lanes::MIGRATION, 0, 10),
-            span("mig:pull", 2, lanes::pull(0), 10, 40),
-            span("mig:replay", 2, lanes::worker(1), 30, 50),
-            span("mig:pull", 2, lanes::pull(1), 80, 10),
-        ];
-        events.push(span("migration", 2, lanes::MIGRATION, 0, 100));
-        let report = critical_path(&events).expect("migration present");
+        let t = Tracer::armed();
+        span(&t, "mig:prepare", 2, lanes::MIGRATION, 0, 10);
+        span(&t, "mig:pull", 2, lanes::pull(0), 10, 40);
+        span(&t, "mig:replay", 2, lanes::worker(1), 30, 50);
+        span(&t, "mig:pull", 2, lanes::pull(1), 80, 10);
+        span(&t, "migration", 2, lanes::MIGRATION, 0, 100);
+        let report = t.with_events(critical_path).expect("migration present");
         assert_eq!(report.total_ns, 100);
         assert_eq!(report.attributed_ns, 100);
         assert_eq!(report.coverage_permille(), 1000);
@@ -249,10 +240,19 @@ mod tests {
 
     #[test]
     fn nic_split_uses_departure_stamps() {
-        let mut pull = span("mig:pull", 2, lanes::pull(0), 0, 100);
-        pull.args.push(("resp_nic", 25));
-        let events = vec![pull, span("migration", 2, lanes::MIGRATION, 0, 100)];
-        let report = critical_path(&events).unwrap();
+        let t = Tracer::armed();
+        t.span(
+            "mig:pull",
+            "test",
+            2,
+            lanes::pull(0),
+            0,
+            100,
+            &["resp_nic"],
+            &[25],
+        );
+        span(&t, "migration", 2, lanes::MIGRATION, 0, 100);
+        let report = t.with_events(critical_path).unwrap();
         let ns = |name: &str| {
             report
                 .components
@@ -266,9 +266,10 @@ mod tests {
 
     #[test]
     fn abandoned_migrations_are_ignored() {
-        let mut abandoned = span("migration", 2, lanes::MIGRATION, 0, 50);
-        abandoned.args.push(("abandoned", 1));
-        assert!(critical_path(&[abandoned]).is_none());
-        assert!(critical_path(&[]).is_none());
+        let t = Tracer::armed();
+        assert!(t.with_events(critical_path).is_none());
+        let lane = lanes::MIGRATION;
+        t.span("migration", "test", 2, lane, 0, 50, &["abandoned"], &[1]);
+        assert!(t.with_events(critical_path).is_none());
     }
 }

@@ -31,7 +31,7 @@ use rocksteady_profiler::{Activity, Profiler};
 use rocksteady_proto::msg::{BaselineOpts, SegmentImage};
 use rocksteady_proto::{Body, Envelope, Priority, Record, Request, Response, Status};
 use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
-use rocksteady_trace::{lanes, Tracer};
+use rocksteady_trace::{lanes, schema, Tracer};
 
 use crate::stats::StatsHandle;
 use crate::{Directory, ServerConfig};
@@ -526,30 +526,41 @@ impl ServerNode {
         // A hold can be cut short by a failover arriving mid-service;
         // saturate rather than underflow in that corner.
         let service_end = span.service_end.min(now);
-        let mut args = vec![
-            ("src", dst as u64),
-            ("rpc", rpc.0),
-            ("sent_at", span.sent_at),
-            ("arrived", span.arrived),
-            ("assigned", span.assigned),
-            ("service_end", service_end),
-            ("resp_sent", now),
-            ("net_in", span.arrived - span.sent_at),
-            ("nic_in", span.nic_in),
-            ("queue", span.assigned - span.arrived),
-            ("service", service_end - span.assigned),
-            ("hold", now - service_end),
+        let trace = span.cctx.trace_id;
+        let vals = [
+            dst as u64,
+            rpc.0,
+            span.sent_at,
+            span.arrived,
+            span.assigned,
+            service_end,
+            now,
+            span.arrived - span.sent_at,
+            span.nic_in,
+            span.assigned - span.arrived,
+            service_end - span.assigned,
+            now - service_end,
+            trace.0,
+            span.cctx.hop as u64,
         ];
-        if span.cctx.trace_id.is_some() {
-            args.push(("trace", span.cctx.trace_id.0));
-            args.push(("hop", span.cctx.hop as u64));
-        }
-        self.trace
-            .instant(span.name, "rpc", self_id as u64, lanes::RPC, now, args);
+        let n = if trace.is_some() {
+            schema::RPC.len()
+        } else {
+            schema::RPC_UNTRACED_LEN
+        };
+        self.trace.instant(
+            span.name,
+            "rpc",
+            self_id as u64,
+            lanes::RPC,
+            now,
+            &schema::RPC[..n],
+            &vals[..n],
+        );
         // Close the flow edge the requester opened at send time: the
         // arrow ties the client's (or PriorityPull issuer's) lane to
         // this server's decomposition instant in the chrome view.
-        if span.cctx.trace_id.is_some() {
+        if trace.is_some() {
             self.trace.flow(
                 "rpc-flow",
                 "flow",
@@ -557,8 +568,9 @@ impl ServerNode {
                 lanes::RPC,
                 now,
                 false,
-                span.cctx.trace_id.0 ^ rpc.0,
-                vec![("trace", span.cctx.trace_id.0)],
+                trace.0 ^ rpc.0,
+                &schema::FLOW,
+                &[trace.0],
             );
         }
     }
@@ -968,11 +980,8 @@ impl ServerNode {
                         lanes::pull(part),
                         t0,
                         ctx.now() - t0,
-                        vec![
-                            ("records", records.len() as u64),
-                            ("bytes", wire),
-                            ("resp_nic", nic),
-                        ],
+                        &["records", "bytes", "resp_nic"],
+                        &[records.len() as u64, wire, nic],
                     );
                 }
                 if self.audit.is_on() {
@@ -1006,11 +1015,8 @@ impl ServerNode {
                         lanes::PRIORITY_PULL,
                         t0,
                         ctx.now() - t0,
-                        vec![
-                            ("hashes", batch),
-                            ("records", records.len() as u64),
-                            ("resp_nic", nic),
-                        ],
+                        &["hashes", "records", "resp_nic"],
+                        &[batch, records.len() as u64, nic],
                     );
                 }
                 if self.audit.is_on() {
@@ -1280,7 +1286,8 @@ impl ServerNode {
                 lanes::worker(worker),
                 since,
                 ctx.now() - since,
-                vec![],
+                &[],
+                &[],
             );
         }
         let deferred = std::mem::take(&mut self.workers[worker].deferred);
@@ -1360,7 +1367,8 @@ impl ServerNode {
                     lanes::worker(worker),
                     since,
                     waited,
-                    vec![],
+                    &[],
+                    &[],
                 );
             }
         }
@@ -1850,7 +1858,8 @@ impl ServerNode {
                                 ctx.now(),
                                 true,
                                 pp_ctx.trace_id.0 ^ pp.0,
-                                vec![("trace", pp_ctx.trace_id.0)],
+                                &schema::FLOW,
+                                &[pp_ctx.trace_id.0],
                             );
                         }
                         self.send(
@@ -2104,7 +2113,8 @@ impl ServerNode {
                                 ctx.now(),
                                 true,
                                 pp_ctx.trace_id.0 ^ rpc.0,
-                                vec![("trace", pp_ctx.trace_id.0)],
+                                &schema::FLOW,
+                                &[pp_ctx.trace_id.0],
                             );
                         }
                     }
@@ -2214,7 +2224,8 @@ impl ServerNode {
                 lanes::MIGRATION,
                 mt.phase_start,
                 now - mt.phase_start,
-                vec![],
+                &[],
+                &[],
             );
             mt.phase_start = now;
         }
@@ -2282,7 +2293,7 @@ impl ServerNode {
         if self.trace.is_on() {
             let pid = ctx.self_id() as u64;
             self.trace
-                .instant(reason, "migration", pid, lanes::MIGRATION, now, vec![]);
+                .instant(reason, "migration", pid, lanes::MIGRATION, now, &[], &[]);
             if let Some(mt) = run.mig_trace.take() {
                 self.trace.span(
                     "migration",
@@ -2291,7 +2302,8 @@ impl ServerNode {
                     lanes::MIGRATION,
                     mt.started,
                     now - mt.started,
-                    vec![("abandoned", 1)],
+                    &["abandoned"],
+                    &[1],
                 );
             }
             self.trace
@@ -2356,7 +2368,8 @@ impl ServerNode {
                 lanes::MIGRATION,
                 now,
                 0,
-                vec![("sidelogs", committed_sidelogs)],
+                &["sidelogs"],
+                &[committed_sidelogs],
             );
             self.trace.span(
                 "migration",
@@ -2365,11 +2378,17 @@ impl ServerNode {
                 lanes::MIGRATION,
                 mt.started,
                 now - mt.started,
-                vec![
-                    ("pulls_sent", stats.pulls_sent),
-                    ("pull_records", stats.pull_records),
-                    ("priority_pulls_sent", stats.priority_pulls_sent),
-                    ("priority_records", stats.priority_records),
+                &[
+                    "pulls_sent",
+                    "pull_records",
+                    "priority_pulls_sent",
+                    "priority_records",
+                ],
+                &[
+                    stats.pulls_sent,
+                    stats.pull_records,
+                    stats.priority_pulls_sent,
+                    stats.priority_records,
                 ],
             );
         }
@@ -2636,7 +2655,8 @@ impl ServerNode {
                         ctx.self_id() as u64,
                         lanes::RPC,
                         ctx.now(),
-                        vec![("backup", backup.0 as u64), ("failovers", n)],
+                        &["backup", "failovers"],
+                        &[backup.0 as u64, n],
                     );
                 }
                 let dst = self.dir.actor_of(backup);
@@ -2662,7 +2682,8 @@ impl ServerNode {
                         ctx.self_id() as u64,
                         lanes::RPC,
                         ctx.now(),
-                        vec![("gaps", n)],
+                        &["gaps"],
+                        &[n],
                     );
                 }
                 let Some(rec) = self.recoveries.get_mut(&recovery) else {

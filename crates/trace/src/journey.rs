@@ -26,9 +26,10 @@
 //! [`export_json`] is byte-identical for the same seed and across the
 //! scheduler swap.
 
-use rocksteady_common::Nanos;
+use rocksteady_common::json::push_u64;
+use rocksteady_common::{FxHashMap, Nanos};
 
-use crate::{Phase, TraceEvent};
+use crate::{ClientAttempt, Events, RpcInstant};
 
 /// Schema tag stamped into [`export_json`] output.
 pub const JOURNEYS_SCHEMA: &str = "rocksteady-journeys-v1";
@@ -152,322 +153,305 @@ impl Journey {
     /// `read@1:retry -> priority-pull@1 -> read@2:ok`.
     pub fn chain(&self) -> String {
         let mut out = String::new();
+        self.push_chain(&mut out);
+        out
+    }
+
+    fn push_chain(&self, out: &mut String) {
         for (i, hop) in self.hops.iter().enumerate() {
             if i > 0 {
                 out.push_str(" -> ");
             }
             out.push_str(hop.name);
             out.push('@');
-            out.push_str(&hop.server.to_string());
+            push_u64(out, hop.server);
             if hop.on_path {
                 out.push(':');
                 out.push_str(status::label(hop.status));
             }
         }
-        out
     }
 
     fn push_json(&self, out: &mut String) {
+        let flag = |b: bool| if b { "1" } else { "0" };
         out.push_str("{\"trace\":");
-        out.push_str(&self.trace.to_string());
+        push_u64(out, self.trace);
         out.push_str(",\"client\":");
-        out.push_str(&self.client.to_string());
+        push_u64(out, self.client);
         out.push_str(",\"issued\":");
-        out.push_str(&self.issued.to_string());
+        push_u64(out, self.issued);
         out.push_str(",\"completed\":");
-        out.push_str(&self.completed.to_string());
+        push_u64(out, self.completed);
         out.push_str(",\"e2e\":");
-        out.push_str(&self.e2e.to_string());
+        push_u64(out, self.e2e);
         out.push_str(",\"attempts\":");
-        out.push_str(&self.attempts.to_string());
+        push_u64(out, self.attempts);
         out.push_str(",\"final_status\":");
-        out.push_str(&self.final_status.to_string());
+        push_u64(out, self.final_status);
         out.push_str(",\"truncated\":");
-        out.push_str(if self.truncated { "1" } else { "0" });
+        out.push_str(flag(self.truncated));
         out.push_str(",\"telescoped\":");
-        out.push_str(if self.telescoped { "1" } else { "0" });
+        out.push_str(flag(self.telescoped));
         out.push_str(",\"crossed\":");
-        out.push_str(if self.crossed_migration() { "1" } else { "0" });
+        out.push_str(flag(self.crossed_migration()));
         out.push_str(",\"hops_n\":");
-        out.push_str(&self.hops.len().to_string());
+        push_u64(out, self.hops.len() as u64);
         out.push_str(",\"chain\":\"");
-        out.push_str(&self.chain());
+        self.push_chain(out);
         out.push_str("\",\"hops\":[");
         for (i, hop) in self.hops.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"attempt\":");
-            out.push_str(&hop.attempt.to_string());
+            push_u64(out, hop.attempt);
             out.push_str(",\"server\":");
-            out.push_str(&hop.server.to_string());
+            push_u64(out, hop.server);
             out.push_str(",\"name\":\"");
             out.push_str(hop.name);
             out.push_str("\",\"rpc\":");
-            out.push_str(&hop.rpc.to_string());
+            push_u64(out, hop.rpc);
             out.push_str(",\"depth\":");
-            out.push_str(&hop.depth.to_string());
+            push_u64(out, hop.depth);
             out.push_str(",\"sent_at\":");
-            out.push_str(&hop.sent_at.to_string());
+            push_u64(out, hop.sent_at);
             out.push_str(",\"resp_sent\":");
-            out.push_str(&hop.resp_sent.to_string());
+            push_u64(out, hop.resp_sent);
             out.push_str(",\"net_in\":");
-            out.push_str(&hop.net_in.to_string());
+            push_u64(out, hop.net_in);
             out.push_str(",\"queue\":");
-            out.push_str(&hop.queue.to_string());
+            push_u64(out, hop.queue);
             out.push_str(",\"service\":");
-            out.push_str(&hop.service.to_string());
+            push_u64(out, hop.service);
             out.push_str(",\"hold\":");
-            out.push_str(&hop.hold.to_string());
+            push_u64(out, hop.hold);
             out.push_str(",\"net_out\":");
-            out.push_str(&hop.net_out.to_string());
+            push_u64(out, hop.net_out);
             out.push_str(",\"gap_before\":");
-            out.push_str(&hop.gap_before.to_string());
+            push_u64(out, hop.gap_before);
             out.push_str(",\"status\":");
-            out.push_str(&hop.status.to_string());
+            push_u64(out, hop.status);
             out.push_str(",\"on_path\":");
-            out.push_str(if hop.on_path { "1" } else { "0" });
+            out.push_str(flag(hop.on_path));
             out.push('}');
         }
         out.push_str("]}");
     }
 }
 
-/// One client attempt pulled from an `rpc-client` instant.
-struct Attempt {
-    attempt: u64,
-    rpc: u64,
-    issued: Nanos,
-    completed: Nanos,
-    status: u64,
-}
-
-/// One server decomposition instant, pre-parsed.
-struct ServerInstant {
-    server: u64,
-    name: &'static str,
-    rpc: u64,
-    depth: u64,
-    sent_at: Nanos,
-    resp_sent: Nanos,
-    net_in: Nanos,
-    queue: Nanos,
-    service: Nanos,
-    hold: Nanos,
-}
-
-/// Reconstructs every journey present in `events`. `dropped` is the
-/// tracer's ring-eviction count (0 for an unbounded buffer) and only
-/// influences diagnostics — truncation is detected structurally.
+/// Reconstructs every journey present in `events`. Truncation (ring
+/// eviction, responses in flight at capture) is detected structurally.
 /// Journeys are returned sorted by trace id; hops by response time.
-pub fn reconstruct(events: &[TraceEvent], dropped: u64) -> Vec<Journey> {
-    let _ = dropped;
-    // Pass 1: bucket client attempts and server instants by trace id.
-    let mut attempts: std::collections::HashMap<u64, (u64, Vec<Attempt>)> =
-        std::collections::HashMap::new();
-    let mut servers: std::collections::HashMap<u64, Vec<ServerInstant>> =
-        std::collections::HashMap::new();
-    for ev in events {
-        if ev.ph != Phase::Instant {
-            continue;
-        }
-        let Some(trace) = ev.arg("trace") else {
-            continue;
-        };
-        if trace == 0 {
-            continue;
-        }
-        if ev.name == "rpc-client" {
-            let (Some(attempt), Some(rpc), Some(issued), Some(completed), Some(st)) = (
-                ev.arg("attempt"),
-                ev.arg("rpc"),
-                ev.arg("issued"),
-                ev.arg("completed"),
-                ev.arg("status"),
-            ) else {
-                continue;
-            };
-            attempts
-                .entry(trace)
-                .or_insert((ev.pid, Vec::new()))
-                .1
-                .push(Attempt {
-                    attempt,
-                    rpc,
-                    issued,
-                    completed,
-                    status: st,
-                });
-        } else if ev.cat == "rpc" {
-            let (
-                Some(rpc),
-                Some(sent_at),
-                Some(resp_sent),
-                Some(net_in),
-                Some(queue),
-                Some(service),
-                Some(hold),
-            ) = (
-                ev.arg("rpc"),
-                ev.arg("sent_at"),
-                ev.arg("resp_sent"),
-                ev.arg("net_in"),
-                ev.arg("queue"),
-                ev.arg("service"),
-                ev.arg("hold"),
-            )
-            else {
-                continue;
-            };
-            servers.entry(trace).or_default().push(ServerInstant {
-                server: ev.pid,
-                name: ev.name,
-                rpc,
-                depth: ev.arg("hop").unwrap_or(0),
-                sent_at,
-                resp_sent,
-                net_in,
-                queue,
-                service,
-                hold,
-            });
-        }
-    }
-
-    // Pass 2: stitch each trace's attempts and hops together.
-    let mut journeys = Vec::with_capacity(attempts.len());
-    for (trace, (client, mut atts)) in attempts {
-        atts.sort_by_key(|a| (a.attempt, a.issued));
-        let hops_in = servers.remove(&trace).unwrap_or_default();
-        let mut hops: Vec<Hop> = Vec::with_capacity(hops_in.len());
-        let mut matched = vec![false; hops_in.len()];
-        let mut truncated = atts.first().map(|a| a.attempt != 1).unwrap_or(true);
-        let mut per_attempt_ok = true;
-        let mut prev_completed: Option<Nanos> = None;
-        for att in &atts {
-            let gap_before = prev_completed.map_or(0, |p| att.issued.saturating_sub(p));
-            prev_completed = Some(att.completed);
-            let Some(i) = hops_in
-                .iter()
-                .enumerate()
-                .find(|(i, s)| !matched[*i] && s.rpc == att.rpc)
-                .map(|(i, _)| i)
-            else {
-                // Evicted server instant (ring mode drops oldest first).
-                truncated = true;
-                continue;
-            };
-            matched[i] = true;
-            let s = &hops_in[i];
-            let net_out = att.completed.saturating_sub(s.resp_sent);
-            // Per-hop identities that must hold for any surviving hop:
-            // the kernel stamps sent_at at issue, and the four segments
-            // tile [sent_at, resp_sent] exactly.
-            if s.sent_at != att.issued
-                || s.net_in + s.queue + s.service + s.hold != s.resp_sent - s.sent_at
-            {
-                per_attempt_ok = false;
-            }
-            hops.push(Hop {
-                attempt: att.attempt,
-                server: s.server,
-                name: s.name,
-                rpc: s.rpc,
-                depth: s.depth,
-                sent_at: s.sent_at,
-                resp_sent: s.resp_sent,
-                net_in: s.net_in,
-                queue: s.queue,
-                service: s.service,
-                hold: s.hold,
-                net_out,
-                gap_before,
-                status: att.status,
-                on_path: true,
-            });
-        }
-        // Off-path hops: server work attributed to this trace that no
-        // client attempt names — the PriorityPull the target issued on
-        // the operation's behalf. (A non-PP orphan is a response still
-        // in flight at capture time; skip it rather than guess.)
-        for (i, s) in hops_in.iter().enumerate() {
-            if !matched[i] && s.name == "priority-pull" {
-                hops.push(Hop {
-                    attempt: 0,
-                    server: s.server,
-                    name: s.name,
-                    rpc: s.rpc,
-                    depth: s.depth,
-                    sent_at: s.sent_at,
-                    resp_sent: s.resp_sent,
-                    net_in: s.net_in,
-                    queue: s.queue,
-                    service: s.service,
-                    hold: s.hold,
-                    net_out: 0,
-                    gap_before: 0,
-                    status: status::OK,
-                    on_path: false,
-                });
-            }
-        }
-        hops.sort_by_key(|h| (h.resp_sent, h.rpc));
-        let (issued, completed) = match (atts.first(), atts.last()) {
-            (Some(f), Some(l)) => (f.issued, l.completed),
-            _ => continue,
-        };
-        let e2e = completed - issued;
-        // Telescoping: on-path segments + response network + client-side
-        // gaps must tile [issued, completed] with nothing left over.
-        let on_path_sum: Nanos = hops
-            .iter()
-            .filter(|h| h.on_path)
-            .map(|h| h.segments() + h.net_out + h.gap_before)
-            .sum();
-        let complete = !truncated && hops.iter().filter(|h| h.on_path).count() == atts.len();
-        let telescoped = complete && per_attempt_ok && on_path_sum == e2e;
-        journeys.push(Journey {
-            trace,
-            client,
-            issued,
-            completed,
-            e2e,
-            attempts: atts.len() as u64,
-            final_status: atts.last().map_or(status::OTHER, |a| a.status),
-            truncated: !complete,
-            telescoped,
-            hops,
-        });
-    }
-    journeys.sort_by_key(|j| j.trace);
-    journeys
+pub fn reconstruct(events: Events<'_>) -> Vec<Journey> {
+    build(events, None)
 }
 
 /// Reconstructs the single journey with trace id `trace`, if present.
-pub fn find(events: &[TraceEvent], dropped: u64, trace: u64) -> Option<Journey> {
-    reconstruct(events, dropped)
-        .into_iter()
-        .find(|j| j.trace == trace)
+/// Only that trace's events are decoded into the stitching pass.
+pub fn find(events: Events<'_>, trace: u64) -> Option<Journey> {
+    build(events, Some(trace)).pop()
+}
+
+fn build(events: Events<'_>, only: Option<u64>) -> Vec<Journey> {
+    // Pass 1: decode client attempts and traced server instants by
+    // schema position, numbering each trace id in first-seen order.
+    let wanted = |trace: u64| trace != 0 && only.is_none_or(|t| t == trace);
+    let mut slot_of: FxHashMap<u64, u32> = FxHashMap::default();
+    let mut traces: Vec<u64> = Vec::new();
+    let mut slot = |trace: u64| {
+        *slot_of.entry(trace).or_insert_with(|| {
+            traces.push(trace);
+            u32::try_from(traces.len() - 1).expect("fewer than 2^32 trace ids")
+        })
+    };
+    let mut attempts: Vec<(u32, ClientAttempt)> = Vec::new();
+    let mut servers: Vec<(u32, RpcInstant)> = Vec::new();
+    for ev in events {
+        if let Some(a) = ClientAttempt::decode(ev) {
+            if wanted(a.trace) {
+                attempts.push((slot(a.trace), a));
+            }
+        } else if let Some(s) = RpcInstant::decode(ev) {
+            if wanted(s.trace) {
+                servers.push((slot(s.trace), s));
+            }
+        }
+    }
+    // Rank the trace ids, then bucket each trace's events contiguously
+    // in rank order (a counting sort, which keeps buffer order within a
+    // trace), so journeys come out sorted by trace id.
+    let mut by_trace: Vec<(u64, u32)> = traces
+        .iter()
+        .enumerate()
+        .map(|(slot, &trace)| (trace, slot as u32))
+        .collect();
+    by_trace.sort_unstable();
+    let mut rank = vec![0u32; traces.len()];
+    for (r, &(_, slot)) in by_trace.iter().enumerate() {
+        rank[slot as usize] = r as u32;
+    }
+    let (mut attempts, att_at) = bucket(attempts, &rank);
+    let (servers, srv_at) = bucket(servers, &rank);
+
+    // Pass 2: stitch each trace's attempts and hops together.
+    let mut journeys = Vec::with_capacity(by_trace.len());
+    let mut matched: Vec<bool> = Vec::new();
+    for (r, &(trace, _)) in by_trace.iter().enumerate() {
+        let atts = &mut attempts[att_at[r]..att_at[r + 1]];
+        if atts.is_empty() {
+            continue; // server work whose client attempts were evicted
+        }
+        // A trace id is minted by one client; name it as the first
+        // recorded attempt does. Then order attempts stably: equal
+        // (attempt, issued) keep buffer order.
+        let client = atts[0].client;
+        atts.sort_by_key(|a| (a.attempt, a.issued));
+        let hops_in = &servers[srv_at[r]..srv_at[r + 1]];
+        matched.clear();
+        matched.resize(hops_in.len(), false);
+        journeys.push(stitch(trace, client, atts, hops_in, &mut matched));
+    }
+    journeys
+}
+
+/// Counting sort of `(slot, item)` pairs by `rank[slot]`: returns the
+/// items grouped by rank (buffer order within a group) and each group's
+/// start offset (`rank.len() + 1` entries).
+fn bucket<T: Copy + Default>(items: Vec<(u32, T)>, rank: &[u32]) -> (Vec<T>, Vec<usize>) {
+    let mut at = vec![0usize; rank.len() + 1];
+    for (slot, _) in &items {
+        at[rank[*slot as usize] as usize + 1] += 1;
+    }
+    for i in 1..at.len() {
+        at[i] += at[i - 1];
+    }
+    let mut next = at.clone();
+    let mut out = vec![T::default(); items.len()];
+    for (slot, item) in items {
+        let r = rank[slot as usize] as usize;
+        out[next[r]] = item;
+        next[r] += 1;
+    }
+    (out, at)
+}
+
+/// Builds one journey from a trace's client attempts (sorted by attempt)
+/// and its server instants (in buffer order). `matched` is scratch space
+/// sized to `hops_in`, all false.
+fn stitch(
+    trace: u64,
+    client: u64,
+    atts: &[ClientAttempt],
+    hops_in: &[RpcInstant],
+    matched: &mut [bool],
+) -> Journey {
+    let hop = |s: &RpcInstant| Hop {
+        attempt: 0,
+        server: s.server,
+        name: s.name,
+        rpc: s.rpc,
+        depth: s.hop,
+        sent_at: s.sent_at,
+        resp_sent: s.resp_sent,
+        net_in: s.net_in,
+        queue: s.queue,
+        service: s.service,
+        hold: s.hold,
+        net_out: 0,
+        gap_before: 0,
+        status: status::OK,
+        on_path: false,
+    };
+    let mut hops: Vec<Hop> = Vec::with_capacity(hops_in.len());
+    let mut truncated = atts[0].attempt != 1;
+    let mut per_attempt_ok = true;
+    let mut prev_completed: Option<Nanos> = None;
+    for att in atts {
+        let gap_before = prev_completed.map_or(0, |p| att.issued.saturating_sub(p));
+        prev_completed = Some(att.completed);
+        let Some(i) = (0..hops_in.len()).find(|&i| !matched[i] && hops_in[i].rpc == att.rpc) else {
+            // Evicted server instant (ring mode drops oldest first).
+            truncated = true;
+            continue;
+        };
+        matched[i] = true;
+        let s = &hops_in[i];
+        // Per-hop identities that must hold for any surviving hop: the
+        // kernel stamps sent_at at issue, and the four segments tile
+        // [sent_at, resp_sent] exactly.
+        if s.sent_at != att.issued
+            || s.net_in + s.queue + s.service + s.hold != s.resp_sent - s.sent_at
+        {
+            per_attempt_ok = false;
+        }
+        hops.push(Hop {
+            attempt: att.attempt,
+            net_out: att.completed.saturating_sub(s.resp_sent),
+            gap_before,
+            status: att.status,
+            on_path: true,
+            ..hop(s)
+        });
+    }
+    // Off-path hops: server work attributed to this trace that no client
+    // attempt names — the PriorityPull the target issued on the
+    // operation's behalf. (A non-PP orphan is a response still in flight
+    // at capture time; skip it rather than guess.)
+    for (i, s) in hops_in.iter().enumerate() {
+        if !matched[i] && s.name == "priority-pull" {
+            hops.push(hop(s));
+        }
+    }
+    hops.sort_by_key(|h| (h.resp_sent, h.rpc));
+    let (first, last) = (&atts[0], &atts[atts.len() - 1]);
+    let e2e = last.completed - first.issued;
+    // Telescoping: on-path segments + response network + client-side gaps
+    // must tile [issued, completed] with nothing left over.
+    let on_path_sum: Nanos = hops
+        .iter()
+        .filter(|h| h.on_path)
+        .map(|h| h.segments() + h.net_out + h.gap_before)
+        .sum();
+    let complete = !truncated && hops.iter().filter(|h| h.on_path).count() == atts.len();
+    Journey {
+        trace,
+        client,
+        issued: first.issued,
+        completed: last.completed,
+        e2e,
+        attempts: atts.len() as u64,
+        final_status: last.status,
+        truncated: !complete,
+        telescoped: complete && per_attempt_ok && on_path_sum == e2e,
+        hops,
+    }
 }
 
 /// The `k` slowest journeys by `e2e`, slowest first, ties broken by
 /// trace id ascending — a deterministic reservoir with no RNG.
-pub fn slowest(journeys: &[Journey], k: usize) -> Vec<Journey> {
-    let mut sorted: Vec<&Journey> = journeys.iter().collect();
+pub fn slowest<'a>(journeys: impl IntoIterator<Item = &'a Journey>, k: usize) -> Vec<&'a Journey> {
+    let mut sorted: Vec<&Journey> = journeys.into_iter().collect();
     sorted.sort_by(|a, b| b.e2e.cmp(&a.e2e).then(a.trace.cmp(&b.trace)));
-    sorted.into_iter().take(k).cloned().collect()
+    sorted.truncate(k);
+    sorted
 }
 
 /// Renders journeys as the deterministic `rocksteady-journeys-v1` JSON
 /// document (fixed key order, integers and static strings only).
-pub fn export_json(journeys: &[Journey], dropped: u64) -> String {
-    let mut out = String::with_capacity(64 + journeys.len() * 256);
+pub fn export_json<'a, I>(journeys: I, dropped: u64) -> String
+where
+    I: IntoIterator<Item = &'a Journey>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let journeys = journeys.into_iter();
+    // A typical journey (one or two hops) exports to about 410 bytes.
+    let mut out = String::with_capacity(64 + journeys.len() * 410);
     out.push_str("{\"schema\":\"");
     out.push_str(JOURNEYS_SCHEMA);
     out.push_str("\",\"dropped\":");
-    out.push_str(&dropped.to_string());
+    push_u64(&mut out, dropped);
     out.push_str(",\"journeys\":[");
-    for (i, j) in journeys.iter().enumerate() {
+    for (i, j) in journeys.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -480,8 +464,11 @@ pub fn export_json(journeys: &[Journey], dropped: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{lanes, schema, Tracer};
 
+    #[allow(clippy::too_many_arguments)]
     fn client_instant(
+        t: &Tracer,
         pid: u64,
         trace: u64,
         attempt: u64,
@@ -489,81 +476,87 @@ mod tests {
         issued: Nanos,
         completed: Nanos,
         st: u64,
-    ) -> TraceEvent {
-        TraceEvent {
-            name: "rpc-client",
-            cat: "rpc",
-            ph: Phase::Instant,
-            ts: completed,
-            dur: 0,
+    ) {
+        t.instant(
+            "rpc-client",
+            "client",
             pid,
-            tid: 0,
-            args: vec![
-                ("rpc", rpc),
-                ("issued", issued),
-                ("completed", completed),
-                ("e2e", completed - issued),
-                ("trace", trace),
-                ("attempt", attempt),
-                ("status", st),
+            0,
+            completed,
+            &schema::CLIENT,
+            &[
+                rpc,
+                issued,
+                completed,
+                completed - issued,
+                trace,
+                attempt,
+                st,
             ],
-        }
+        );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn server_instant(
+        t: &Tracer,
         pid: u64,
         name: &'static str,
         trace: u64,
         rpc: u64,
         sent_at: Nanos,
-        segments: [Nanos; 4],
-    ) -> TraceEvent {
-        let resp = sent_at + segments.iter().sum::<Nanos>();
-        TraceEvent {
+        [net_in, queue, service, hold]: [Nanos; 4],
+    ) {
+        let arrived = sent_at + net_in;
+        let assigned = arrived + queue;
+        let service_end = assigned + service;
+        let resp = service_end + hold;
+        t.instant(
             name,
-            cat: "rpc",
-            ph: Phase::Instant,
-            ts: resp,
-            dur: 0,
+            "rpc",
             pid,
-            tid: 0,
-            args: vec![
-                ("rpc", rpc),
-                ("sent_at", sent_at),
-                ("resp_sent", resp),
-                ("net_in", segments[0]),
-                ("queue", segments[1]),
-                ("service", segments[2]),
-                ("hold", segments[3]),
-                ("trace", trace),
-                ("hop", 1),
+            lanes::RPC,
+            resp,
+            &schema::RPC,
+            &[
+                9,
+                rpc,
+                sent_at,
+                arrived,
+                assigned,
+                service_end,
+                resp,
+                net_in,
+                0,
+                queue,
+                service,
+                hold,
+                trace,
+                1,
             ],
-        }
+        );
     }
 
     /// A three-attempt read crossing an ownership flip, with an
     /// off-path PriorityPull: the canonical migration-crossing journey.
-    fn crossing_events() -> Vec<TraceEvent> {
-        let t = 42;
-        vec![
-            // attempt 1 at the source: stale map.
-            server_instant(1, "read", t, 100, 1_000, [10, 5, 20, 0]),
-            client_instant(9, t, 1, 100, 1_000, 1_045, status::STALE_MAP),
-            // attempt 2 at the target: miss -> retry hint.
-            server_instant(2, "read", t, 101, 1_100, [10, 8, 25, 0]),
-            client_instant(9, t, 2, 101, 1_100, 1_153, status::RETRY),
-            // the PriorityPull the target issued on our behalf.
-            server_instant(1, "priority-pull", t, 300, 1_150, [10, 2, 30, 0]),
-            // attempt 3 at the target: served.
-            server_instant(2, "read", t, 102, 1_400, [10, 4, 22, 0]),
-            client_instant(9, t, 3, 102, 1_400, 1_446, status::OK),
-        ]
+    fn crossing_events() -> Tracer {
+        let t = Tracer::armed();
+        let id = 42;
+        // attempt 1 at the source: stale map.
+        server_instant(&t, 1, "read", id, 100, 1_000, [10, 5, 20, 0]);
+        client_instant(&t, 9, id, 1, 100, 1_000, 1_045, status::STALE_MAP);
+        // attempt 2 at the target: miss -> retry hint.
+        server_instant(&t, 2, "read", id, 101, 1_100, [10, 8, 25, 0]);
+        client_instant(&t, 9, id, 2, 101, 1_100, 1_153, status::RETRY);
+        // the PriorityPull the target issued on our behalf.
+        server_instant(&t, 1, "priority-pull", id, 300, 1_150, [10, 2, 30, 0]);
+        // attempt 3 at the target: served.
+        server_instant(&t, 2, "read", id, 102, 1_400, [10, 4, 22, 0]);
+        client_instant(&t, 9, id, 3, 102, 1_400, 1_446, status::OK);
+        t
     }
 
     #[test]
     fn crossing_journey_reconstructs_and_telescopes() {
-        let journeys = reconstruct(&crossing_events(), 0);
+        let journeys = crossing_events().with_events(reconstruct);
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert_eq!(j.trace, 42);
@@ -592,8 +585,7 @@ mod tests {
     fn evicted_early_hops_mean_truncated_not_wrong() {
         // Drop the first three events (ring eviction takes the oldest):
         // attempt 1 entirely gone, attempt 2's server instant gone.
-        let events: Vec<TraceEvent> = crossing_events().into_iter().skip(3).collect();
-        let journeys = reconstruct(&events, 3);
+        let journeys = crossing_events().with_events(|e| reconstruct(e.since(1_150)));
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert!(j.truncated, "missing early hops must flag truncation");
@@ -611,44 +603,31 @@ mod tests {
 
     #[test]
     fn single_attempt_clean_journey() {
-        let events = vec![
-            server_instant(1, "read", 7, 50, 500, [10, 0, 20, 0]),
-            client_instant(9, 7, 1, 50, 500, 540, status::OK),
-        ];
-        let journeys = reconstruct(&events, 0);
+        let t = Tracer::armed();
+        server_instant(&t, 1, "read", 7, 50, 500, [10, 0, 20, 0]);
+        client_instant(&t, 9, 7, 1, 50, 500, 540, status::OK);
+        let journeys = t.with_events(reconstruct);
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert!(!j.crossed_migration());
         assert!(j.telescoped);
         assert_eq!(j.hops[0].net_out, 10);
         assert_eq!(j.chain(), "read@1:ok");
-        assert!(find(&events, 0, 7).is_some());
-        assert!(find(&events, 0, 8).is_none());
+        assert_eq!(
+            t.with_events(|e| find(e, 7)).map(|j| j.chain()),
+            Some(j.chain())
+        );
+        assert!(t.with_events(|e| find(e, 8)).is_none());
     }
 
     #[test]
     fn slowest_reservoir_is_deterministic() {
-        let mut events = Vec::new();
+        let t = Tracer::armed();
         for (i, e2e) in [(1u64, 100u64), (2, 300), (3, 300), (4, 50)] {
-            events.push(server_instant(
-                1,
-                "read",
-                i,
-                i * 10,
-                1_000,
-                [e2e - 10, 0, 10, 0],
-            ));
-            events.push(client_instant(
-                9,
-                i,
-                1,
-                i * 10,
-                1_000,
-                1_000 + e2e,
-                status::OK,
-            ));
+            server_instant(&t, 1, "read", i, i * 10, 1_000, [e2e - 10, 0, 10, 0]);
+            client_instant(&t, 9, i, 1, i * 10, 1_000, 1_000 + e2e, status::OK);
         }
-        let journeys = reconstruct(&events, 0);
+        let journeys = t.with_events(reconstruct);
         let top = slowest(&journeys, 2);
         assert_eq!(top.len(), 2);
         // Ties broken by trace id ascending.
@@ -658,8 +637,8 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let a = export_json(&reconstruct(&crossing_events(), 0), 0);
-        let b = export_json(&reconstruct(&crossing_events(), 0), 0);
+        let a = export_json(&crossing_events().with_events(reconstruct), 0);
+        let b = export_json(&crossing_events().with_events(reconstruct), 0);
         assert_eq!(a, b);
         assert!(a.starts_with("{\"schema\":\"rocksteady-journeys-v1\""));
         assert!(a.contains("\"hops_n\":4"), "{a}");

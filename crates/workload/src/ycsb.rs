@@ -16,7 +16,7 @@ use rocksteady_common::FxHashMap;
 use rocksteady_common::{key_hash, CausalCtx, KeyHash, Nanos, RpcId, TableId, TraceId};
 use rocksteady_proto::{Body, Envelope, Request, Response, Status};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
-use rocksteady_trace::Tracer;
+use rocksteady_trace::{schema, Tracer};
 
 use crate::core::{primary_key, ClientCore};
 use crate::shape::{hash_bucket, LoadShape};
@@ -299,7 +299,8 @@ impl YcsbClient {
                 ctx.now(),
                 true,
                 cctx.trace_id.0 ^ rpc.0,
-                vec![("trace", cctx.trace_id.0), ("attempt", attempt as u64)],
+                &schema::CLIENT_FLOW,
+                &[cctx.trace_id.0, attempt as u64],
             );
         }
         ctx.send(dst, Envelope::req(rpc, req).with_ctx(cctx));
@@ -488,14 +489,15 @@ impl Actor<Envelope> for YcsbClient {
                                 ctx.self_id() as u64,
                                 0,
                                 now,
-                                vec![
-                                    ("rpc", rpc.0),
-                                    ("issued", op.issued),
-                                    ("completed", now),
-                                    ("e2e", now - op.issued),
-                                    ("trace", TraceId::mint(ctx.self_id() as u64, op_id).0),
-                                    ("attempt", op.attempts as u64),
-                                    ("status", status_code(&resp)),
+                                &schema::CLIENT,
+                                &[
+                                    rpc.0,
+                                    op.issued,
+                                    now,
+                                    now - op.issued,
+                                    TraceId::mint(ctx.self_id() as u64, op_id).0,
+                                    op.attempts as u64,
+                                    status_code(&resp),
                                 ],
                             );
                         }

@@ -1,35 +1,48 @@
-//! Allocation-count gate for the migration hot path.
+//! Allocation-count gate for the migration hot path and traced RPCs.
 //!
 //! The gather (Pull source) and replay (Pull target) paths were made
 //! slab/arena-backed: gathered keys and values alias the log's segments
 //! as refcounted slices, and replay bump-appends into segments without
-//! per-record heap boxes. This gate pins that property with a counting
-//! global allocator: if a change reintroduces a per-record allocation on
-//! either path, the per-record allocation rate regresses past the floor
-//! and this test fails. (`ci.sh` runs it as part of the tier-1 suite.)
+//! per-record heap boxes. Trace events keep their argument values in one
+//! arena per buffer, keyed by a static schema, so recording a traced RPC
+//! copies a stack array and allocates nothing. This gate pins both
+//! properties with a counting global allocator: if a change reintroduces
+//! a per-record or per-event allocation, the rate regresses past the
+//! floor and a test fails. (`ci.sh` runs it as part of the tier-1 suite.)
+//!
+//! Allocations are counted per thread, so tests running in parallel do
+//! not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rocksteady_common::{key_hash, HashRange, ScanCursor, TableId};
 use rocksteady_logstore::LogConfig;
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
+use rocksteady_trace::{lanes, schema, Tracer};
 use rocksteady_workload::core::primary_key;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot may already be gone while a thread tears down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,8 +50,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 const T: TableId = TableId(1);
@@ -119,4 +133,73 @@ fn gather_and_replay_stay_allocation_free_per_record() {
         (replay_allocs as f64) < 0.10 * RECORDS as f64,
         "replay allocation regression: {replay_allocs} allocs for {RECORDS} records"
     );
+}
+
+/// Records `rpcs` traced RPCs the way the server and client actors do:
+/// the server's 14-value decomposition instant and the flow end closing
+/// the requester's arrow, then the client's `rpc-client` attempt instant.
+fn record_traced_rpcs(t: &Tracer, rpcs: u64) {
+    for i in 0..rpcs {
+        let (sent, trace) = (1_000 * i, (1 << 40) | i);
+        let resp = sent + 400;
+        let server = [
+            9,
+            i,
+            sent,
+            sent + 100,
+            sent + 150,
+            sent + 350,
+            resp,
+            100,
+            20,
+            50,
+            200,
+            50,
+            trace,
+            1,
+        ];
+        t.instant("read", "rpc", 1, lanes::RPC, resp, &schema::RPC, &server);
+        t.flow(
+            "rpc-flow",
+            "flow",
+            1,
+            lanes::RPC,
+            resp,
+            false,
+            trace ^ i,
+            &schema::FLOW,
+            &[trace],
+        );
+        let done = resp + 100;
+        let client = [i, sent, done, done - sent, trace, 1, 0];
+        t.instant("rpc-client", "client", 9, 0, done, &schema::CLIENT, &client);
+    }
+}
+
+#[test]
+fn traced_rpc_recording_allocates_nothing_amortized() {
+    const RPCS: u64 = 20_000;
+    let events = 3 * RPCS;
+
+    // Unbounded buffer: the only allocations are the event vector's and
+    // the value arena's growth doublings (a few dozen for 60 k events).
+    let t = Tracer::armed();
+    let before = allocs();
+    record_traced_rpcs(&t, RPCS);
+    let unbounded = allocs() - before;
+    assert_eq!(t.len() as u64, events, "every traced event recorded");
+    assert!(
+        (unbounded as f64) <= 0.01 * events as f64,
+        "traced RPC allocation regression: {unbounded} allocs for {events} events"
+    );
+
+    // Ring mode: compaction drains events and values in place, so once
+    // the ring has filled, recording allocates nothing at all.
+    let ring = Tracer::with_capacity(4_096);
+    record_traced_rpcs(&ring, RPCS / 4);
+    let before = allocs();
+    record_traced_rpcs(&ring, RPCS);
+    let wrapped = allocs() - before;
+    assert!(ring.dropped() > 0, "ring never wrapped");
+    assert_eq!(wrapped, 0, "ring-mode recording allocated {wrapped} times");
 }
