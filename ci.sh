@@ -8,8 +8,11 @@
 #   3. tier-1 verify (ROADMAP.md): release build + test suite
 #   4. examples smoke: quickstart (+ exported trace JSON), crash_recovery
 #   5. bench smoke: simkernel throughput JSON + micro industry CSV
-#   6. allocation gate: gather/replay + traced RPC (migration hot path stays
-#      sub-per-record; recording a traced RPC allocates nothing, amortized)
+#   6. allocation gate: gather/replay + traced RPC + bulk load (migration hot
+#      path stays sub-per-record; recording a traced RPC allocates nothing,
+#      amortized; the bulk loader reuses its chunk buffers)
+#   7. benchmark build: perfbench is a workspace of its own, so API drift
+#      that breaks it would otherwise pass every stage above
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -163,7 +166,10 @@ for path in ('BENCH_micro.json', 'BENCH_simkernel.json'):
 print('bench baseline schemas OK')
 EOF
 
-echo "==> allocation gate: gather/replay + traced RPC"
+echo "==> allocation gate: gather/replay + traced RPC + bulk load"
 cargo test -q --test alloc_gate
+
+echo "==> benchmark build: perfbench (its own workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

@@ -7,12 +7,13 @@ use std::rc::Rc;
 use bytes::Bytes;
 use rocksteady::MigrationConfig;
 use rocksteady_audit::{AuditKind, AuditReport, AuditSink};
+use rocksteady_common::zipf::{KeyDist, KeySampler};
 use rocksteady_common::{
     key_hash, CostModel, HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId, SECOND,
 };
 use rocksteady_coordinator::Coordinator;
 use rocksteady_logstore::LogConfig;
-use rocksteady_master::{MasterConfig, TabletRole};
+use rocksteady_master::{LoadBatch, MasterConfig, TabletRole};
 use rocksteady_metrics::Registry;
 use rocksteady_profiler::{
     critical_path, tail_blame, CriticalPathReport, Profiler, TailBlameReport,
@@ -37,6 +38,13 @@ use crate::rebalancer::{RebalancerActor, RebalancerConfig, RebalancerHandle, Reb
 use crate::sampler::{SamplerActor, SnapshotLogHandle, UtilSeries, UtilSeriesHandle};
 use crate::slo::{SloHandle, SloMonitor, SloReport};
 use crate::watchdog::{IncidentLogHandle, WatchdogActor, WatchdogWiring};
+
+/// Ranks [`Cluster::load_table`] generates and routes per round. Bounds
+/// the loader's temporary memory (keys, hashes, log refs and the bucket
+/// sort: about 80 B per record, 20 MB per chunk) whatever the table
+/// size; smaller chunks measured slower, whole-table buffers raised the
+/// peak footprint.
+const LOAD_CHUNK: u64 = 1 << 18;
 
 /// Topology + hardware parameters for one simulated cluster.
 #[derive(Debug, Clone)]
@@ -377,6 +385,18 @@ impl ClusterBuilder {
         // perturbs every random stream while same-seed runs stay
         // bit-identical.
         let mut client_stats_handles = Vec::new();
+        // Each distinct key sampler is built once and cloned: the Zipf
+        // normalisation sums over the whole key space, and the clients of
+        // one rig usually share it.
+        let mut samplers: Vec<((u64, KeyDist, bool), KeySampler)> = Vec::new();
+        let mut sampler = |key: (u64, KeyDist, bool)| {
+            if let Some((_, s)) = samplers.iter().find(|(k, _)| *k == key) {
+                return s.clone();
+            }
+            let s = KeySampler::new(key.0, key.1, key.2);
+            samplers.push((key, s.clone()));
+            s
+        };
         for (idx, spec) in self.clients.into_iter().enumerate() {
             let stats = registered_client_stats(&metrics, idx, cfg.series_interval);
             client_stats_handles.push(Rc::clone(&stats));
@@ -388,8 +408,9 @@ impl ClusterBuilder {
             match spec {
                 ClientSpec::Ycsb(mut c) => {
                     c.seed ^= derived;
+                    let keys = sampler((c.num_keys, c.dist, c.scrambled));
                     sim.add_actor(Box::new(
-                        YcsbClient::new(c, stats)
+                        YcsbClient::new(c, keys, stats)
                             .with_trace(trace.clone())
                             .with_audit(audit.clone()),
                     ));
@@ -400,7 +421,8 @@ impl ClusterBuilder {
                 }
                 ClientSpec::Scan(mut c) => {
                     c.seed ^= derived;
-                    sim.add_actor(Box::new(ScanClient::new(c, stats)));
+                    let keys = sampler((c.num_keys, c.dist, false));
+                    sim.add_actor(Box::new(ScanClient::new(c, keys, stats)));
                 }
             }
         }
@@ -496,38 +518,57 @@ impl Cluster {
     }
 
     /// Loads `num_keys` records of `value_len` bytes into `table`,
-    /// routing each key to its owner per the coordinator map. Returns
-    /// per-server key-rank lists (useful for the spread workload).
-    pub fn load_table(
-        &mut self,
-        table: TableId,
-        num_keys: u64,
-        key_len: usize,
-        value_len: usize,
-    ) -> HashMap<ServerId, Vec<u64>> {
-        let map = self.coord.borrow().tablet_map();
+    /// routing each key to its owner per the coordinator map.
+    ///
+    /// Keys are generated in chunks of [`LOAD_CHUNK`] ranks, routed by
+    /// owner, and handed to each owner as one
+    /// [`MasterService::load_batch`], so the loader's temporary memory is
+    /// bounded by the chunk, not the table. Every master still receives
+    /// its records in rank order, so versions, log bytes and hash-table
+    /// slots are identical to loading the records one by one.
+    ///
+    /// [`MasterService::load_batch`]: rocksteady_master::MasterService::load_batch
+    pub fn load_table(&mut self, table: TableId, num_keys: u64, key_len: usize, value_len: usize) {
+        // Each tablet of `table` with the index of its owner's batch.
+        let mut batches: Vec<(ServerId, LoadBatch)> = Vec::new();
+        let tablets: Vec<(HashRange, usize)> = self
+            .coord
+            .borrow()
+            .tablet_map()
+            .into_iter()
+            .filter(|t| t.table == table)
+            .map(|t| {
+                let b = match batches.iter().position(|(owner, _)| *owner == t.owner) {
+                    Some(b) => b,
+                    None => {
+                        batches.push((t.owner, LoadBatch::new()));
+                        batches.len() - 1
+                    }
+                };
+                (t.range, b)
+            })
+            .collect();
         let value = vec![0xcdu8; value_len];
-        let mut by_owner: HashMap<ServerId, Vec<u64>> = HashMap::new();
-        // Single pass: each key is formatted (into a reused buffer) and
-        // hashed exactly once, then loaded directly on its owner. Every
-        // master still receives its records in rank order, so versions
-        // and log contents are identical to the two-pass loader this
-        // replaces — only the host-side cost per record changed.
         let mut key = Vec::with_capacity(key_len);
-        for rank in 0..num_keys {
-            rocksteady_workload::core::write_primary_key(rank, key_len, &mut key);
-            let hash = key_hash(&key);
-            let owner = map
-                .iter()
-                .find(|t| t.covers(table, hash))
-                .map(|t| t.owner)
-                .expect("load_table: key not covered by any tablet");
-            by_owner.entry(owner).or_default().push(rank);
-            self.node(owner)
-                .master
-                .load_object_hashed(table, hash, &key, &value);
+        let mut start = 0;
+        while start < num_keys {
+            let end = num_keys.min(start + LOAD_CHUNK);
+            for rank in start..end {
+                rocksteady_workload::core::write_primary_key(rank, key_len, &mut key);
+                let hash = key_hash(&key);
+                let (_, b) = tablets
+                    .iter()
+                    .find(|(range, _)| range.contains(hash))
+                    .expect("load_table: key not covered by any tablet");
+                batches[*b].1.push(hash, &key);
+            }
+            for (owner, batch) in &mut batches {
+                if !batch.is_empty() {
+                    self.node(*owner).master.load_batch(table, batch, &value);
+                }
+            }
+            start = end;
         }
-        by_owner
     }
 
     /// Copies every server's current log image onto its backups and

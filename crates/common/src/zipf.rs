@@ -13,6 +13,8 @@
 //!   hot keys are spread across the key-hash space rather than clustered —
 //!   exactly the situation Rocksteady's hash-partitioned Pulls face.
 
+use std::sync::Arc;
+
 use crate::ids::key_hash;
 use crate::rng::Prng;
 
@@ -85,7 +87,8 @@ fn zeta(n: u64, theta: f64) -> f64 {
 /// including the θ ≥ 1 regime YCSB's approximation cannot handle.
 #[derive(Debug, Clone)]
 pub struct TableZipf {
-    cdf: Vec<f64>,
+    /// Shared, so clones of one sampler do not copy the table.
+    cdf: Arc<[f64]>,
 }
 
 impl TableZipf {
@@ -107,7 +110,7 @@ impl TableZipf {
         for v in &mut cdf {
             *v /= total;
         }
-        TableZipf { cdf }
+        TableZipf { cdf: cdf.into() }
     }
 
     /// Samples a rank in `[0, n)`; rank 0 is the most popular.

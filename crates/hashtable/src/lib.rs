@@ -144,6 +144,70 @@ impl Bucket {
     fn spill(&self) -> &[Slot] {
         self.overflow.as_deref().map_or(&[], Vec::as_slice)
     }
+
+    /// Inserts or replaces the entry for `(table, hash)` in this bucket;
+    /// see [`HashTable::upsert`]. The one copy of the insert logic, shared
+    /// by the single and batched paths.
+    fn upsert(
+        &mut self,
+        table: TableId,
+        hash: KeyHash,
+        new_ref: LogRef,
+        mut is_match: impl FnMut(LogRef) -> bool,
+    ) -> Probed<Upsert> {
+        let tag = tag_of(hash);
+        let mut probes = 0;
+        let mut occ = self.occupied;
+        while occ != 0 {
+            let i = occ.trailing_zeros() as usize;
+            occ &= occ - 1;
+            if self.tags[i] != tag {
+                continue;
+            }
+            probes += 1;
+            let slot = &mut self.slots[i];
+            if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
+                let old = slot.log_ref;
+                slot.log_ref = new_ref;
+                return Probed {
+                    value: Upsert::Replaced(old),
+                    probes,
+                };
+            }
+        }
+        if let Some(of) = &mut self.overflow {
+            for slot in of.iter_mut() {
+                probes += 1;
+                if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
+                    let old = slot.log_ref;
+                    slot.log_ref = new_ref;
+                    return Probed {
+                        value: Upsert::Replaced(old),
+                        probes,
+                    };
+                }
+            }
+        }
+        let slot = Slot {
+            table,
+            hash,
+            log_ref: new_ref,
+        };
+        if self.occupied != u8::MAX {
+            let i = (!self.occupied).trailing_zeros() as usize;
+            self.tags[i] = tag;
+            self.slots[i] = slot;
+            self.occupied |= 1 << i;
+        } else {
+            self.overflow
+                .get_or_insert_with(Default::default)
+                .push(slot);
+        }
+        Probed {
+            value: Upsert::Inserted,
+            probes: probes + 1,
+        }
+    }
 }
 
 /// Allocates `n` buckets as one flat zeroed slice.
@@ -165,6 +229,64 @@ fn zeroed_buckets(n: usize) -> Box<[Bucket]> {
             handle_alloc_error(layout);
         }
         Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, n))
+    }
+}
+
+/// Reusable buffers for [`HashTable::upsert_batch`]'s bucket-order sort,
+/// so a loader that upserts batch after batch allocates them once.
+#[derive(Debug, Default)]
+pub struct BucketOrder {
+    /// `bucket << 32 | entry index`, sorted by bucket.
+    keys: Vec<u64>,
+    /// The radix sort's scatter target.
+    tmp: Vec<u64>,
+    /// One counter per digit value.
+    counts: Vec<usize>,
+}
+
+/// Widest radix digit [`BucketOrder`] sorts by: its 2¹¹ counters
+/// (16 KB) stay L1-resident, and 2¹⁹ buckets still sort in two passes.
+const RADIX_BITS: u32 = 11;
+
+impl BucketOrder {
+    /// Returns `bucket << 32 | i` for every `(i, bucket)` of `buckets`,
+    /// sorted by bucket with ties in index order: a least-significant-
+    /// digit radix sort over the `bucket_bits` bucket bits, stable by
+    /// construction and linear in the batch (a comparison sort costs
+    /// more than the cache misses it saves).
+    fn sort(&mut self, buckets: impl Iterator<Item = u64>, bucket_bits: u32) -> &[u64] {
+        self.keys.clear();
+        self.keys.extend(buckets.enumerate().map(|(i, b)| {
+            let i = u32::try_from(i).expect("batch holds at most u32::MAX entries");
+            b << 32 | u64::from(i)
+        }));
+        let passes = bucket_bits.div_ceil(RADIX_BITS);
+        if passes == 0 {
+            return &self.keys;
+        }
+        let digit_bits = bucket_bits.div_ceil(passes);
+        let mask = (1u64 << digit_bits) - 1;
+        self.tmp.resize(self.keys.len(), 0);
+        for pass in 0..passes {
+            let shift = 32 + pass * digit_bits;
+            let digit = |k: u64| ((k >> shift) & mask) as usize;
+            self.counts.clear();
+            self.counts.resize(1 << digit_bits, 0);
+            for &k in &self.keys {
+                self.counts[digit(k)] += 1;
+            }
+            let mut sum = 0;
+            for c in &mut self.counts {
+                (*c, sum) = (sum, sum + *c);
+            }
+            for &k in &self.keys {
+                let d = digit(k);
+                self.tmp[self.counts[d]] = k;
+                self.counts[d] += 1;
+            }
+            std::mem::swap(&mut self.keys, &mut self.tmp);
+        }
+        &self.keys
     }
 }
 
@@ -296,65 +418,71 @@ impl HashTable {
         table: TableId,
         hash: KeyHash,
         new_ref: LogRef,
-        mut is_match: impl FnMut(LogRef) -> bool,
+        is_match: impl FnMut(LogRef) -> bool,
     ) -> Probed<Upsert> {
         let (stripe, b) = self.locate(self.bucket_of(hash));
-        let mut buckets = stripe.buckets.write();
-        let bucket = &mut buckets[b];
-        let tag = tag_of(hash);
-        let mut probes = 0;
-        let mut occ = bucket.occupied;
-        while occ != 0 {
-            let i = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            if bucket.tags[i] != tag {
-                continue;
-            }
-            probes += 1;
-            let slot = &mut bucket.slots[i];
-            if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                let old = slot.log_ref;
-                slot.log_ref = new_ref;
-                return Probed {
-                    value: Upsert::Replaced(old),
-                    probes,
-                };
-            }
+        let up = stripe.buckets.write()[b].upsert(table, hash, new_ref, is_match);
+        if up.value == Upsert::Inserted {
+            self.len.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(of) = &mut bucket.overflow {
-            for slot in of.iter_mut() {
-                probes += 1;
-                if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                    let old = slot.log_ref;
-                    slot.log_ref = new_ref;
-                    return Probed {
-                        value: Upsert::Replaced(old),
-                        probes,
-                    };
+        up
+    }
+
+    /// Upserts entry `i` = `(hashes[i], refs[i])` of `table` for every
+    /// `i`, leaving exactly the table that calling [`HashTable::upsert`]
+    /// on each entry in index order would: `is_match(i, r)` plays the
+    /// per-entry matcher, and `replaced(old)` receives each
+    /// [`Upsert::Replaced`] reference.
+    ///
+    /// The entries are visited in bucket order instead of index order — a
+    /// stable radix sort on the bucket index, then one write lock per
+    /// stripe run — so a large batch walks the table sequentially rather
+    /// than missing the cache on every insert. The order is equivalent
+    /// because buckets are independent and the sort is stable: each
+    /// bucket still receives its entries in index order, so it ends with
+    /// the same slots in the same positions. `order` holds the sort's
+    /// buffers and is reused from batch to batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hashes` and `refs` differ in length or hold more than
+    /// `u32::MAX` entries.
+    pub fn upsert_batch(
+        &self,
+        table: TableId,
+        hashes: &[KeyHash],
+        refs: &[LogRef],
+        order: &mut BucketOrder,
+        mut is_match: impl FnMut(usize, LogRef) -> bool,
+        mut replaced: impl FnMut(LogRef),
+    ) {
+        assert_eq!(hashes.len(), refs.len(), "one log ref per hash");
+        let bucket_bits = self.bucket_count.trailing_zeros();
+        let sorted = order.sort(hashes.iter().map(|&h| self.bucket_of(h)), bucket_bits);
+        let mut inserted = 0;
+        let mut held = None;
+        for &key in sorted {
+            let (bucket, i) = ((key >> 32) as usize, key as u32 as usize);
+            let stripe_idx = bucket / self.buckets_per_stripe;
+            let buckets = match &mut held {
+                Some((idx, guard)) if *idx == stripe_idx => guard,
+                _ => {
+                    // Release the previous stripe before taking the next.
+                    held = None;
+                    let guard = self.stripes[stripe_idx].buckets.write();
+                    &mut held.insert((stripe_idx, guard)).1
                 }
+            };
+            let up =
+                buckets[bucket % self.buckets_per_stripe]
+                    .upsert(table, hashes[i], refs[i], |r| is_match(i, r));
+            match up.value {
+                Upsert::Inserted => inserted += 1,
+                Upsert::Replaced(old) => replaced(old),
             }
         }
-        let slot = Slot {
-            table,
-            hash,
-            log_ref: new_ref,
-        };
-        if bucket.occupied != u8::MAX {
-            let i = (!bucket.occupied).trailing_zeros() as usize;
-            bucket.tags[i] = tag;
-            bucket.slots[i] = slot;
-            bucket.occupied |= 1 << i;
-        } else {
-            bucket
-                .overflow
-                .get_or_insert_with(Default::default)
-                .push(slot);
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-        Probed {
-            value: Upsert::Inserted,
-            probes: probes + 1,
-        }
+        drop(held);
+        self.len.fetch_add(inserted, Ordering::Relaxed);
     }
 
     /// Removes the entry for `(table, hash)` whose reference satisfies
@@ -652,6 +780,65 @@ mod tests {
         let found = ht.lookup(T, alias_b, |_| true);
         assert_eq!(found.value, Some(r(11, 0)));
         assert_eq!(found.probes, 2, "both tag-matching slots are probed");
+    }
+
+    /// Batch upserts leave exactly the table sequential upserts leave —
+    /// slot positions, overflow chains and replacements — with one and
+    /// with several radix passes.
+    #[test]
+    fn upsert_batch_matches_sequential_upserts() {
+        fn mix(x: u64) -> u64 {
+            let z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 31)
+        }
+        // 500 distinct hashes, each shared by two keys, each key upserted
+        // several times: collisions, overflow chains and replacements.
+        // The "key" rides in the ref's segment so matchers can see it.
+        let (mut hashes, mut refs) = (Vec::new(), Vec::new());
+        for i in 0..3_000u64 {
+            let k = mix(i) % 500;
+            hashes.push(mix(k));
+            refs.push(r(2 * k + mix(i + 7) % 2, i as u32));
+        }
+        let same_key = |i: usize, old: LogRef| old.segment == refs[i].segment;
+        for buckets in [16, 1 << 13] {
+            let seq = HashTable::new(buckets, 4);
+            let mut seq_replaced = Vec::new();
+            for i in 0..hashes.len() {
+                let up = seq.upsert(T, hashes[i], refs[i], |old| same_key(i, old));
+                if let Upsert::Replaced(old) = up.value {
+                    seq_replaced.push(old);
+                }
+            }
+            let batch = HashTable::new(buckets, 4);
+            let mut order = BucketOrder::default();
+            let mut batch_replaced = Vec::new();
+            // Twice through one `order`, as a loader reuses it.
+            for half in [0..1_500, 1_500..3_000] {
+                let base = half.start;
+                batch.upsert_batch(
+                    T,
+                    &hashes[half.clone()],
+                    &refs[half],
+                    &mut order,
+                    |i, old| same_key(base + i, old),
+                    |old| batch_replaced.push(old),
+                );
+            }
+            // Refs are unique (the index rides in the offset).
+            let by_index = |v: &mut Vec<LogRef>| v.sort_by_key(|r| r.offset);
+            by_index(&mut batch_replaced);
+            by_index(&mut seq_replaced);
+            assert_eq!(batch_replaced, seq_replaced);
+            assert_eq!(batch.len(), seq.len());
+            let slots = |ht: &HashTable| {
+                let mut v = Vec::new();
+                ht.for_each_in_range(T, HashRange::full(), |s| v.push(*s));
+                v
+            };
+            assert_eq!(slots(&batch), slots(&seq), "{buckets} buckets");
+        }
     }
 
     /// More than eight residents of one bucket spill into the overflow

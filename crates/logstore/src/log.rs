@@ -183,40 +183,89 @@ impl Log {
         key: &[u8],
         value: &[u8],
     ) -> Result<LogRef, LogError> {
-        let need = crate::entry::serialized_len(key.len(), value.len());
+        let entry = EntryView {
+            kind,
+            table_id,
+            key_hash,
+            version,
+            key,
+            value,
+        };
+        let mut placed = None;
+        self.append_batch(std::iter::once(entry), |r| placed = Some(r))?;
+        Ok(placed.expect("a successful append places its entry"))
+    }
+
+    /// Appends `entries` in order, handing each one's [`LogRef`] to
+    /// `placed` as it lands. Lays out exactly the bytes and segments that
+    /// one [`Log::append`] per entry would, but takes the head segment's
+    /// lock once per segment fill instead of once per entry and
+    /// publishes each fill's bytes and counters at once — the bulk-load
+    /// path; [`Log::append`] is a batch of one.
+    ///
+    /// On error the entries before the failing one stay appended.
+    ///
+    /// The `entries` iterator and `placed` run while this call holds the
+    /// head segment's append lock (not reentrant) and the log's segment
+    /// table read lock, so neither may call back into this `Log`: an
+    /// append would deadlock on the segment lock, and a lookup such as
+    /// [`Log::with_entry`] could deadlock behind a waiting head roll.
+    pub fn append_batch<'e>(
+        &self,
+        entries: impl IntoIterator<Item = EntryView<'e>>,
+        mut placed: impl FnMut(LogRef),
+    ) -> Result<(), LogError> {
+        let mut entries = entries.into_iter();
+        let mut pending = entries.next();
+        loop {
+            // Fill the current head under the read lock.
+            {
+                let inner = self.inner.read();
+                let segment = inner.head.id();
+                let (count, bytes) = inner.head.append_run(|offset, free| {
+                    let entry = pending.as_ref()?;
+                    let len = entry.serialized_len();
+                    if len > free.len() {
+                        return None;
+                    }
+                    entry::write_entry(
+                        &mut free[..len],
+                        entry.kind,
+                        entry.table_id,
+                        entry.key_hash,
+                        entry.version,
+                        entry.key,
+                        entry.value,
+                    );
+                    placed(LogRef { segment, offset });
+                    pending = entries.next();
+                    Some(len)
+                });
+                self.note_append(count, bytes);
+            }
+            // Head lacks space for the next entry: roll it and retry.
+            match &pending {
+                None => return Ok(()),
+                Some(entry) => self.roll_head(entry.serialized_len())?,
+            }
+        }
+    }
+
+    fn note_append(&self, entries: u64, bytes: usize) {
+        self.appended_bytes
+            .fetch_add(bytes as u64, Ordering::AcqRel);
+        self.appended_entries.fetch_add(entries, Ordering::Relaxed);
+    }
+
+    /// Closes the head and opens a fresh one for an entry of `need`
+    /// bytes (unless another appender already did).
+    fn roll_head(&self, need: usize) -> Result<(), LogError> {
         if need > self.config.segment_bytes {
             return Err(LogError::EntryTooLarge {
                 need,
                 capacity: self.config.segment_bytes,
             });
         }
-        loop {
-            // Fast path: append into the current head under the read lock.
-            {
-                let inner = self.inner.read();
-                if let Some(offset) = inner
-                    .head
-                    .append(kind, table_id, key_hash, version, key, value)
-                {
-                    self.note_append(need);
-                    return Ok(LogRef {
-                        segment: inner.head.id(),
-                        offset,
-                    });
-                }
-            }
-            // Head lacks space for this entry: roll it and retry.
-            self.roll_head(need)?;
-        }
-    }
-
-    fn note_append(&self, bytes: usize) {
-        self.appended_bytes
-            .fetch_add(bytes as u64, Ordering::AcqRel);
-        self.appended_entries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn roll_head(&self, need: usize) -> Result<(), LogError> {
         let mut inner = self.inner.write();
         // Another appender may have rolled while we waited.
         if inner.head.free_space() >= need {
@@ -308,6 +357,17 @@ impl Log {
     pub fn mark_dead(&self, r: LogRef, bytes: u64) {
         if let Some(seg) = self.segment(r.segment) {
             seg.mark_dead(bytes);
+        }
+    }
+
+    /// Declares the entry at `r` dead, sized from its own header — what
+    /// a write that supersedes the entry owes the cleaner's accounting.
+    /// A ref that no longer resolves is ignored.
+    pub fn retire(&self, r: LogRef) {
+        if let Some(seg) = self.segment(r.segment) {
+            if let Ok((_, len)) = seg.entry_at_trusted(r.offset) {
+                seg.mark_dead(len as u64);
+            }
         }
     }
 
@@ -553,6 +613,78 @@ mod tests {
             let e = log.entry(*r).unwrap();
             assert_eq!(e.key_hash, i as u64);
         }
+    }
+
+    #[test]
+    fn append_batch_lays_out_what_single_appends_do() {
+        let keys: Vec<Vec<u8>> = (0..200u64)
+            .map(|i| i.to_le_bytes()[..1 + (i % 8) as usize].to_vec())
+            .collect();
+        let entry = |i: usize| EntryView {
+            kind: EntryKind::Object,
+            table_id: 1,
+            key_hash: i as u64,
+            version: 10 + i as u64,
+            key: &keys[i],
+            value: b"0123456789",
+        };
+        let single = small_log();
+        let single_refs: Vec<LogRef> = (0..keys.len())
+            .map(|i| {
+                let e = entry(i);
+                single
+                    .append(e.kind, e.table_id, e.key_hash, e.version, e.key, e.value)
+                    .unwrap()
+            })
+            .collect();
+        let batched = small_log();
+        let mut batch_refs = Vec::new();
+        batched
+            .append_batch((0..keys.len()).map(entry), |r| batch_refs.push(r))
+            .unwrap();
+        assert_eq!(batch_refs, single_refs);
+        assert_eq!(batched.stats(), single.stats());
+        assert!(batched.stats().segments > 1, "the batch must roll the head");
+        assert_eq!(batched.position(), single.position());
+        let images = |log: &Log| {
+            log.segments_snapshot()
+                .iter()
+                .map(|s| (s.id(), s.is_closed(), s.committed_bytes().to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(images(&batched), images(&single));
+    }
+
+    #[test]
+    fn append_batch_keeps_what_fit_before_an_oversized_entry() {
+        let log = small_log();
+        let big = vec![0u8; 1024];
+        let entries = [b"small".as_slice(), &big].map(|value| EntryView {
+            kind: EntryKind::Object,
+            table_id: 1,
+            key_hash: 0,
+            version: 1,
+            key: b"k",
+            value,
+        });
+        let mut placed = 0;
+        let err = log.append_batch(entries, |_| placed += 1);
+        assert!(matches!(err, Err(LogError::EntryTooLarge { .. })));
+        assert_eq!(placed, 1);
+        assert_eq!(log.stats().appended_entries, 1);
+    }
+
+    #[test]
+    fn retire_kills_the_entry_by_its_own_size() {
+        let log = small_log();
+        let r = log.append(EntryKind::Object, 1, 0, 1, b"k", b"v").unwrap();
+        log.retire(r);
+        assert_eq!(log.stats().live_bytes, 0);
+        // A ref into no segment is ignored.
+        log.retire(LogRef {
+            segment: 99,
+            offset: 0,
+        });
     }
 
     #[test]

@@ -196,25 +196,66 @@ impl Segment {
     }
 
     fn append_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Option<u32> {
+        let mut fill = Some(fill);
+        let mut at = None;
+        self.append_run(|offset, free| {
+            if len > free.len() {
+                return None;
+            }
+            fill.take()?(&mut free[..len]);
+            at = Some(offset);
+            Some(len)
+        });
+        at
+    }
+
+    /// Appends a run of entries under one hold of the append lock and
+    /// publishes the whole run at once: one release store of `committed`
+    /// and one update of each counter, however many entries it holds.
+    ///
+    /// `next(offset, free)` is handed the segment's unwritten tail and
+    /// the offset it starts at; it serializes one entry into the front of
+    /// `free` and returns the entry's length, or returns `None` to end
+    /// the run (nothing left to append, or the next entry does not fit).
+    /// Returns the entries and bytes appended; a closed segment appends
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` reports a length beyond the `free` it was given.
+    pub(crate) fn append_run(
+        &self,
+        mut next: impl FnMut(u32, &mut [u8]) -> Option<usize>,
+    ) -> (u64, usize) {
         let _guard = self.append_lock.lock();
         if self.closed.load(Ordering::Relaxed) {
-            return None;
+            return (0, 0);
         }
-        let offset = self.committed.load(Ordering::Relaxed);
-        if offset + len > self.capacity {
-            return None;
+        let start = self.committed.load(Ordering::Relaxed);
+        // SAFETY: `start..capacity` is within the allocation (`committed`
+        // never exceeds `capacity`), no reader dereferences bytes at or
+        // above `committed` (== start until the store below), and no
+        // other writer exists while we hold `append_lock`; hence this
+        // mutable slice is unaliased.
+        let free =
+            unsafe { std::slice::from_raw_parts_mut(self.base.add(start), self.capacity - start) };
+        let mut written = 0;
+        let mut entries = 0u64;
+        while let Some(len) = next((start + written) as u32, &mut free[written..]) {
+            // Publishing past the written bytes would expose unwritten
+            // (or out-of-bounds) memory to readers.
+            assert!(len <= free.len() - written, "entry overruns the free space");
+            written += len;
+            entries += 1;
         }
-        // SAFETY: `offset..offset + len` is within the allocation
-        // (bounds-checked above), no reader dereferences bytes at or above
-        // `committed` (== offset), and no other writer exists while we
-        // hold `append_lock`; hence this mutable slice is unaliased.
-        let buf = unsafe { std::slice::from_raw_parts_mut(self.base.add(offset), len) };
-        fill(buf);
-        self.live_bytes.fetch_add(len as u64, Ordering::Relaxed);
-        self.entries.fetch_add(1, Ordering::Relaxed);
-        // Publish: everything below offset + len is now fully written.
-        self.committed.store(offset + len, Ordering::Release);
-        Some(offset as u32)
+        if entries > 0 {
+            self.live_bytes.fetch_add(written as u64, Ordering::Relaxed);
+            self.entries.fetch_add(entries, Ordering::Relaxed);
+            // Publish: everything below start + written is now fully
+            // written.
+            self.committed.store(start + written, Ordering::Release);
+        }
+        (entries, written)
     }
 
     /// All published bytes, as an immutable slice.

@@ -16,15 +16,19 @@
 //!   migration states of §3), replay for recovery and migration.
 //! - [`index`]: secondary indexes as range-partitioned indexlets
 //!   (Figure 2): B-tree maps from secondary key to primary-key hashes.
+//! - [`bulk::LoadBatch`]: the record batch of the bulk loader
+//!   ([`MasterService::load_batch`]).
 //! - [`work::Work`]: the real-work receipt (probes, bytes copied,
 //!   checksummed, appended) the cost model consumes.
 
+pub mod bulk;
 pub mod error;
 pub mod index;
 pub mod service;
 pub mod tablet;
 pub mod work;
 
+pub use bulk::LoadBatch;
 pub use error::OpError;
 pub use index::Indexlet;
 pub use service::{MasterConfig, MasterService, ReplayDest};

@@ -86,9 +86,15 @@ pub struct ScanClient {
 }
 
 impl ScanClient {
-    /// Creates a scan client.
-    pub fn new(cfg: ScanConfig, stats: ClientStatsHandle) -> Self {
-        let sampler = KeySampler::new(cfg.num_keys, cfg.dist, false);
+    /// Creates a scan client drawing start ranks from `sampler`, which
+    /// must be `KeySampler::new(cfg.num_keys, cfg.dist, false)` (see
+    /// [`YcsbClient::new`](crate::YcsbClient::new) on sharing it).
+    pub fn new(cfg: ScanConfig, sampler: KeySampler, stats: ClientStatsHandle) -> Self {
+        debug_assert_eq!(
+            sampler.domain(),
+            cfg.num_keys,
+            "sampler over another key space"
+        );
         let rng = Prng::new(cfg.seed);
         ScanClient {
             core: ClientCore::new(cfg.dir.clone(), cfg.table),

@@ -137,9 +137,17 @@ pub struct YcsbClient {
 }
 
 impl YcsbClient {
-    /// Creates a client; `stats` is shared with the harness.
-    pub fn new(cfg: YcsbConfig, stats: ClientStatsHandle) -> Self {
-        let sampler = KeySampler::new(cfg.num_keys, cfg.dist, cfg.scrambled);
+    /// Creates a client drawing key ranks from `sampler`, which must be
+    /// `KeySampler::new(cfg.num_keys, cfg.dist, cfg.scrambled)` — built
+    /// once and cloned into every client of one key space, since the Zipf
+    /// normalisation sums over the whole key space. `stats` is shared
+    /// with the harness.
+    pub fn new(cfg: YcsbConfig, sampler: KeySampler, stats: ClientStatsHandle) -> Self {
+        debug_assert_eq!(
+            sampler.domain(),
+            cfg.num_keys,
+            "sampler over another key space"
+        );
         let rng = Prng::new(cfg.seed);
         let value = Bytes::from(vec![0xabu8; cfg.value_len]);
         let bucket_ranks = match cfg.shape.buckets() {

@@ -1,14 +1,16 @@
-//! Allocation-count gate for the migration hot path and traced RPCs.
+//! Allocation-count gate for the migration hot path, traced RPCs and the
+//! bulk loader.
 //!
 //! The gather (Pull source) and replay (Pull target) paths were made
 //! slab/arena-backed: gathered keys and values alias the log's segments
 //! as refcounted slices, and replay bump-appends into segments without
 //! per-record heap boxes. Trace events keep their argument values in one
 //! arena per buffer, keyed by a static schema, so recording a traced RPC
-//! copies a stack array and allocates nothing. This gate pins both
-//! properties with a counting global allocator: if a change reintroduces
-//! a per-record or per-event allocation, the rate regresses past the
-//! floor and a test fails. (`ci.sh` runs it as part of the tier-1 suite.)
+//! copies a stack array and allocates nothing. The bulk loader reuses
+//! its chunk buffers. This gate pins these properties with a counting
+//! global allocator: if a change reintroduces a per-record or per-event
+//! allocation, the rate regresses past the floor and a test fails.
+//! (`ci.sh` runs it as part of the tier-1 suite.)
 //!
 //! Allocations are counted per thread, so tests running in parallel do
 //! not see each other's allocations.
@@ -16,7 +18,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rocksteady_common::{key_hash, HashRange, ScanCursor, TableId};
+use rocksteady_cluster::{ClusterBuilder, ClusterConfig};
+use rocksteady_common::{key_hash, HashRange, ScanCursor, ServerId, TableId};
 use rocksteady_logstore::LogConfig;
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
 use rocksteady_trace::{lanes, schema, Tracer};
@@ -202,4 +205,34 @@ fn traced_rpc_recording_allocates_nothing_amortized() {
     let wrapped = allocs() - before;
     assert!(ring.dropped() > 0, "ring never wrapped");
     assert_eq!(wrapped, 0, "ring-mode recording allocated {wrapped} times");
+}
+
+#[test]
+fn bulk_load_reuses_its_chunk_buffers() {
+    const LOADED: u64 = 100_000;
+    // Buckets enough that overflow chains (one allocation each) stay
+    // rare: what is counted is the loader, not the table's collisions.
+    let mut cluster = ClusterBuilder::new(ClusterConfig {
+        servers: 1,
+        replicas: 0,
+        segment_bytes: 1 << 20,
+        hash_buckets: 1 << 16,
+        ..ClusterConfig::default()
+    })
+    .build();
+    cluster.create_table(T, &[(HashRange::full(), ServerId(0))]);
+    // Allowed: the chunk buffers' growth doublings and one allocation
+    // set per 1 MB segment (17 for 16.5 MB of records) — about 110 in
+    // all. A per-record allocation would cost 10^5.
+    let before = allocs();
+    cluster.load_table(T, LOADED, 30, 100);
+    let loaded = allocs() - before;
+    assert_eq!(
+        cluster.node(ServerId(0)).master.hashtable.len(),
+        LOADED as usize
+    );
+    assert!(
+        (loaded as f64) < 0.01 * LOADED as f64,
+        "bulk-load allocation regression: {loaded} allocs for {LOADED} records"
+    );
 }
