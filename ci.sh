@@ -13,6 +13,8 @@
 #      amortized; the bulk loader reuses its chunk buffers)
 #   7. benchmark build: perfbench is a workspace of its own, so API drift
 #      that breaks it would otherwise pass every stage above
+#   8. benchmark correctness gate: a short ycsb_observed run on that build
+#      (modeled metrics sane, armed observability run equals disarmed)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -171,5 +173,8 @@ cargo test -q --test alloc_gate
 
 echo "==> benchmark build: perfbench (its own workspace)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark correctness gate: ycsb_observed (reuses the build above)"
+CARGO_TARGET_DIR=perfbench/target python3 perfbench/run.py --workload ycsb_observed --seed 1 --seconds 1
 
 echo "CI OK"

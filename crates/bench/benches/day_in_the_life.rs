@@ -109,7 +109,7 @@ fn rebalancer_config() -> RebalancerConfig {
         },
         // The cooldown keeps the (indistinguishable-under-uniform-
         // attribution) hot tablet from ping-ponging every interval.
-        policy: Box::new(GreedyLoadDelta::new(0.12, 4).with_cooldown(800 * MILLISECOND)),
+        policy: GreedyLoadDelta::new(0.12, 4).with_cooldown(800 * MILLISECOND),
     }
 }
 

@@ -31,13 +31,14 @@ use rocksteady_workload::{
 
 use rocksteady_flightrec::FlightRecorderConfig;
 
+use crate::cadence::CadenceActor;
 use crate::control::{ControlActor, ControlEvent};
 use crate::coordinator_actor::{CoordHandle, CoordinatorActor};
 use crate::incident::{incidents_to_json, Incident};
 use crate::rebalancer::{RebalancerActor, RebalancerConfig, RebalancerHandle, RebalancerReport};
-use crate::sampler::{SamplerActor, SnapshotLogHandle, UtilSeries, UtilSeriesHandle};
+use crate::sampler::{Sampler, SnapshotLogHandle, UtilSeries, UtilSeriesHandle};
 use crate::slo::{SloHandle, SloMonitor, SloReport};
-use crate::watchdog::{IncidentLogHandle, WatchdogActor, WatchdogWiring};
+use crate::watchdog::{IncidentLogHandle, Watchdog};
 
 /// Ranks [`Cluster::load_table`] generates and routes per round. Bounds
 /// the loader's temporary memory (keys, hashes, log refs and the bucket
@@ -84,8 +85,7 @@ pub struct ClusterConfig {
     /// Arm periodic full-registry snapshot capture (one [`rocksteady_metrics::Snapshot`]
     /// per sampling interval, exportable as JSON/Prometheus series).
     /// Instruments always record and on-demand exports always work; this
-    /// only gates the per-interval buffer, and the sampler's cadence is
-    /// fixed either way, so arming cannot perturb the event schedule.
+    /// only gates the per-interval buffer (see [`crate::cadence`]).
     pub metrics: bool,
     /// 99.9th-percentile read-latency SLA for the live SLO monitor
     /// (`None` still runs the monitor but never counts breaches).
@@ -118,13 +118,12 @@ pub struct ClusterConfig {
     /// Arm the always-on flight recorder (`rocksteady-flightrec`): ring
     /// capacities for the trace/audit buffers, a watchdog detector
     /// catalog evaluated every sampling interval, and triggered
-    /// incident-bundle export (see [`crate::watchdog`]). The watchdog
-    /// actor itself is *always* installed on the sampling cadence —
-    /// like the sampler and SLO monitor — so arming only swaps pure
-    /// state mutation into its ticks: `events_processed()` is
-    /// byte-identical armed or disarmed. With the default
-    /// [`FlightRecorderConfig`] (no ring capacities), the trace and
-    /// profiler exports are byte-identical too.
+    /// incident-bundle export (see [`crate::watchdog`]). Arming only
+    /// adds pure state mutation to the cadence tick (see
+    /// [`crate::cadence`]): `events_processed()` is byte-identical armed
+    /// or disarmed. With the default [`FlightRecorderConfig`] (no ring
+    /// capacities), the trace and profiler exports are byte-identical
+    /// too.
     pub flight_recorder: Option<FlightRecorderConfig>,
 }
 
@@ -172,8 +171,9 @@ pub struct ClusterBuilder {
 
 impl ClusterBuilder {
     /// Starts building; actor ids are assigned deterministically
-    /// (coordinator, then servers, control, sampler, then clients), so
-    /// the [`Directory`] is available immediately for client configs.
+    /// (coordinator, then servers, control, the cadence actor, the
+    /// rebalancer when armed, then clients), so the [`Directory`] is
+    /// available immediately for client configs.
     pub fn new(cfg: ClusterConfig) -> Self {
         let mut dir = Directory {
             coordinator: 0,
@@ -315,49 +315,39 @@ impl ClusterBuilder {
             debug_assert_eq!(actor, 1 + i);
         }
 
-        // Control + sampler + SLO monitor. The latter two are always
-        // installed on fixed cadences: config flags change what they
-        // record, never the event schedule.
+        // Control, then the cadence actor (sampler, SLO monitor and,
+        // when armed, the flight-recorder watchdog on one tick).
         sim.add_actor(Box::new(ControlActor::new(self.dir.clone(), self.script)));
-        sim.add_actor(Box::new(SamplerActor::new(
-            cfg.sample_interval,
-            metrics.clone(),
-            cfg.metrics,
-            Rc::clone(&util),
-            Rc::clone(&snapshots),
-        )));
-        sim.add_actor(Box::new(SloMonitor::new(
-            cfg.sample_interval,
-            metrics.clone(),
-            cfg.sla,
-            Rc::clone(&slo),
-        )));
-
-        // Flight-recorder watchdog: always installed on the sampling
-        // cadence so arming cannot shift the event schedule; the armed
-        // core only adds pure state mutation per tick.
         let incidents: IncidentLogHandle = Rc::new(RefCell::new(Vec::new()));
-        let watchdog = match cfg.flight_recorder.clone() {
-            Some(fr) => WatchdogActor::armed(
-                cfg.sample_interval,
+        let watchdog = cfg.flight_recorder.clone().map(|fr| {
+            Watchdog::new(
                 fr,
-                WatchdogWiring {
-                    slo: Rc::clone(&slo),
-                    server_stats: server_stats
-                        .iter()
-                        .map(|(id, h)| (*id, Rc::clone(h)))
-                        .collect(),
-                    coord: Rc::clone(&coord),
-                    registry: metrics.clone(),
-                    trace: trace.clone(),
-                    profiler: profiler.clone(),
-                    audit: audit.clone(),
-                    incidents: Rc::clone(&incidents),
-                },
+                &metrics,
+                &server_stats,
+                Rc::clone(&coord),
+                trace.clone(),
+                profiler.clone(),
+                audit.clone(),
+                Rc::clone(&incidents),
+            )
+        });
+        sim.add_actor(Box::new(CadenceActor::new(
+            cfg.sample_interval,
+            Sampler::new(
+                cfg.sample_interval,
+                metrics.clone(),
+                cfg.metrics,
+                Rc::clone(&util),
+                Rc::clone(&snapshots),
             ),
-            None => WatchdogActor::disarmed(cfg.sample_interval),
-        };
-        sim.add_actor(Box::new(watchdog));
+            SloMonitor::new(
+                cfg.sample_interval,
+                metrics.clone(),
+                cfg.sla,
+                Rc::clone(&slo),
+            ),
+            watchdog,
+        )));
 
         // Autonomous rebalancer, only when armed: installing an actor —
         // even an idle one — would shift actor ids and the event
@@ -374,7 +364,6 @@ impl ClusterBuilder {
                 Rc::clone(&coord),
                 self.dir.clone(),
                 stats_list,
-                Rc::clone(&slo),
                 Rc::clone(&rebalancer),
                 audit.clone(),
             )));

@@ -5,13 +5,15 @@
 //! servers each running a master and a backup behind one dispatch core
 //! and `W` workers, clients offering load, a control actor that fires
 //! scripted events (start a migration at t=10s, kill the target at
-//! t=15s), and a sampler that snapshots per-server utilization and
+//! t=15s), and a cadence actor that samples per-server utilization and
 //! migration progress every interval — the raw series behind Figures 5
-//! and 9–14.
+//! and 9–14 — and runs the SLO monitor and flight-recorder watchdog on
+//! the same tick.
 //!
 //! Everything is driven through [`ClusterBuilder`] (declare topology,
 //! clients, script) and [`Cluster`] (preload data, run, harvest series).
 
+pub mod cadence;
 pub mod control;
 pub mod coordinator_actor;
 pub mod harness;
@@ -38,11 +40,10 @@ pub use rocksteady_profiler::{
     CriticalPathComponent, CriticalPathReport, ProfileSummary, Profiler, TailBlameReport,
 };
 pub use rocksteady_rebalancer::{
-    AdmissionCaps, ClusterView, GreedyLoadDelta, HeadroomAware, MoveInFlight, MoveProposal,
-    PlacementPolicy, ServerLoad, TabletInfo,
+    AdmissionCaps, ClusterView, GreedyLoadDelta, MoveInFlight, MoveProposal, ServerLoad, TabletInfo,
 };
 pub use rocksteady_simnet::SchedulerKind;
 pub use rocksteady_trace::journey::{Hop, Journey, JOURNEYS_SCHEMA};
 pub use sampler::{SnapshotLogHandle, UtilPoint, UtilSeries, UtilSeriesHandle};
-pub use slo::{SloHandle, SloMonitor, SloReport};
-pub use watchdog::{IncidentLogHandle, WatchdogActor, WatchdogWiring, TRACE_DROPPED_FAMILY};
+pub use slo::{SloHandle, SloReport};
+pub use watchdog::{IncidentLogHandle, TRACE_DROPPED_FAMILY};

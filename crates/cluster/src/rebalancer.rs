@@ -6,19 +6,18 @@
 //! operator: on a fixed cadence it samples per-server load from the
 //! shared stats handles (dispatch utilization — the resource that
 //! saturates first — and op rates), reads tablet ownership from the
-//! coordinator map and tail headroom from the live SLO monitor, asks a
-//! pluggable [`PlacementPolicy`] for tablet moves, and issues the
-//! admitted ones as ordinary `MigrateTablet` RPCs — the same path a
-//! scripted `ControlCmd::Migrate` takes. [`AdmissionCaps`] bounds how
-//! many migrations run at once per source, per target, and
-//! cluster-wide, so reactive placement can never pile unbounded
-//! migration load onto one participant.
+//! coordinator map, asks the [`GreedyLoadDelta`] policy for tablet
+//! moves, and issues the admitted ones as ordinary `MigrateTablet`
+//! RPCs — the same path a scripted `ControlCmd::Migrate` takes.
+//! [`AdmissionCaps`] bounds how many migrations run at once per source,
+//! per target, and cluster-wide, so reactive placement can never pile
+//! unbounded migration load onto one participant.
 //!
 //! The actor is installed only when [`ClusterConfig::rebalancer`] is
 //! set: a cluster built without one has an event schedule identical to
 //! a build predating this module. With it set, everything remains
 //! deterministic per seed — the tick cadence is fixed, every scrape
-//! iterates servers in `ServerId` order, and policies are pure.
+//! iterates servers in `ServerId` order, and the policy is pure.
 //!
 //! [`ClusterConfig::rebalancer`]: crate::ClusterConfig::rebalancer
 
@@ -30,13 +29,12 @@ use rocksteady_audit::{AuditKind, AuditSink};
 use rocksteady_common::{MigrationId, Nanos, RpcId, ServerId, SECOND};
 use rocksteady_proto::{Body, Envelope, Request, Response, TabletState};
 use rocksteady_rebalancer::{
-    AdmissionCaps, ClusterView, MoveInFlight, MoveProposal, PlacementPolicy, ServerLoad, TabletInfo,
+    AdmissionCaps, ClusterView, GreedyLoadDelta, MoveInFlight, MoveProposal, ServerLoad, TabletInfo,
 };
 use rocksteady_server::stats::StatsHandle;
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 
 use crate::coordinator_actor::CoordHandle;
-use crate::slo::SloHandle;
 
 /// Rebalancer ids start here so they can never collide with the small
 /// literal ids experiment scripts hand to `ControlCmd::Migrate`.
@@ -49,8 +47,8 @@ pub struct RebalancerConfig {
     pub interval: Nanos,
     /// Concurrency ceilings for admitted migrations.
     pub caps: AdmissionCaps,
-    /// The placement strategy.
-    pub policy: Box<dyn PlacementPolicy>,
+    /// The placement policy.
+    pub policy: GreedyLoadDelta,
 }
 
 impl Default for RebalancerConfig {
@@ -58,7 +56,7 @@ impl Default for RebalancerConfig {
         RebalancerConfig {
             interval: SECOND / 10,
             caps: AdmissionCaps::default(),
-            policy: Box::new(rocksteady_rebalancer::GreedyLoadDelta::default()),
+            policy: GreedyLoadDelta::default(),
         }
     }
 }
@@ -79,7 +77,7 @@ pub struct IssuedMove {
 pub struct RebalancerReport {
     /// Decision ticks taken.
     pub ticks: u64,
-    /// Moves policies proposed (pre-admission).
+    /// Moves the policy proposed (pre-admission).
     pub proposed: u64,
     /// Moves admitted and issued.
     pub admitted: u64,
@@ -94,18 +92,17 @@ pub struct RebalancerReport {
 /// Shared handle to the rebalancer's report.
 pub type RebalancerHandle = Rc<RefCell<RebalancerReport>>;
 
-/// The rebalancer actor. One per cluster, installed after the SLO
-/// monitor when configured.
+/// The rebalancer actor. One per cluster, installed after the cadence
+/// actor when configured.
 pub struct RebalancerActor {
     interval: Nanos,
     caps: AdmissionCaps,
-    policy: Box<dyn PlacementPolicy>,
+    policy: GreedyLoadDelta,
     coord: CoordHandle,
     dir: Directory,
     /// Per-server stats handles, sorted by `ServerId` (scrape order is
     /// part of the deterministic schedule).
     server_stats: Vec<(ServerId, StatsHandle)>,
-    slo: SloHandle,
     out: RebalancerHandle,
     /// Cumulative counters at the previous tick, for windowed deltas.
     prev_dispatch_ns: HashMap<ServerId, u64>,
@@ -127,7 +124,6 @@ impl RebalancerActor {
         coord: CoordHandle,
         dir: Directory,
         mut server_stats: Vec<(ServerId, StatsHandle)>,
-        slo: SloHandle,
         out: RebalancerHandle,
         audit: AuditSink,
     ) -> Self {
@@ -139,7 +135,6 @@ impl RebalancerActor {
             coord,
             dir,
             server_stats,
-            slo,
             out,
             prev_dispatch_ns: HashMap::new(),
             prev_ops: HashMap::new(),
@@ -200,7 +195,6 @@ impl RebalancerActor {
         ClusterView {
             at: now,
             servers,
-            slo_headroom: self.slo.borrow().headroom(),
             in_flight,
         }
     }

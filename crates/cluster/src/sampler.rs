@@ -2,23 +2,23 @@
 //!
 //! Figures 5, 9, 11, 12 and 14 are time series of per-server quantities:
 //! dispatch utilization, active worker cores, and migration MB/s. The
-//! sampler is a generic scraper over the metrics [`Registry`]: once per
-//! interval of virtual time it differences every `node_*` counter
+//! sampler is the first step of the cluster's cadence tick
+//! ([`crate::cadence`]) and owns the cluster's one registry scraper:
+//! once per interval of virtual time it differences every counter
 //! (through [`DeltaScraper`], which tolerates counter resets and picks
 //! up servers registered mid-run) and derives the per-server
-//! [`UtilPoint`] series the figures plot. When metrics capture is armed
-//! it also appends one full registry snapshot per interval to a shared
-//! buffer for the JSON/Prometheus export path.
+//! [`UtilPoint`] series the figures plot from the `node_*` ones. The
+//! same pass hands the armed watchdog its counter deltas. When metrics
+//! capture is armed it also appends one full registry snapshot per
+//! interval to a shared buffer for the JSON/Prometheus export path.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use rocksteady_common::{Nanos, ServerId};
-use rocksteady_metrics::{DeltaScraper, Registry, Snapshot};
-use rocksteady_proto::Envelope;
+use rocksteady_metrics::{CounterDelta, DeltaScraper, Registry, Snapshot};
 use rocksteady_server::stats::{DISPATCH_OVERCOMMIT_FAMILY, DISPATCH_OVERCOMMIT_HELP};
-use rocksteady_simnet::{Actor, Ctx, Event};
 
 /// One sample of one server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,22 +49,6 @@ pub struct UtilSeries {
 }
 
 impl UtilSeries {
-    /// Migration rate series (MB/s of records received) for one server.
-    pub fn migration_rate_mbps(&self, server: ServerId) -> Vec<(Nanos, f64)> {
-        let Some(points) = self.by_server.get(&server) else {
-            return Vec::new();
-        };
-        points
-            .iter()
-            .map(|p| {
-                (
-                    p.at,
-                    rocksteady_common::time::mb_per_sec(p.bytes_in, self.interval),
-                )
-            })
-            .collect()
-    }
-
     /// Warnings about anomalies in the collected series — one per
     /// clamped (overcommitted) dispatch window. Empty means clean;
     /// non-empty means dispatch utilization of those windows reads 1.0
@@ -76,7 +60,8 @@ impl UtilSeries {
             .iter()
             .map(|(server, at, excess)| {
                 format!(
-                    "dispatch overcommitted by {excess} ns on server {}                      in the window starting at {at} (clamped to 1.0)",
+                    "dispatch overcommitted by {excess} ns on server {} \
+                     in the window starting at {at} (clamped to 1.0)",
                     server.0
                 )
             })
@@ -91,24 +76,22 @@ pub type UtilSeriesHandle = Rc<RefCell<UtilSeries>>;
 /// cluster was built with `metrics: true`).
 pub type SnapshotLogHandle = Rc<RefCell<Vec<Snapshot>>>;
 
-/// The sampler actor: a registry scraper on a fixed virtual-time cadence.
-pub struct SamplerActor {
+/// The utilization step: a registry scraper on the cadence tick.
+pub(crate) struct Sampler {
     interval: Nanos,
     registry: Registry,
     scraper: DeltaScraper,
-    /// Whether to append full snapshots to `snapshots` each tick. The
-    /// timer cadence is identical either way, so arming capture cannot
-    /// perturb the event schedule.
+    /// Whether to append full snapshots to `snapshots` each tick.
     capture: bool,
     out: UtilSeriesHandle,
     snapshots: SnapshotLogHandle,
 }
 
-impl SamplerActor {
+impl Sampler {
     /// Creates a sampler scraping `registry` every `interval` of
     /// virtual time, deriving utilization into `out` and (when
     /// `capture`) appending registry snapshots to `snapshots`.
-    pub fn new(
+    pub(crate) fn new(
         interval: Nanos,
         registry: Registry,
         capture: bool,
@@ -116,7 +99,7 @@ impl SamplerActor {
         snapshots: SnapshotLogHandle,
     ) -> Self {
         out.borrow_mut().interval = interval;
-        SamplerActor {
+        Sampler {
             interval,
             registry,
             scraper: DeltaScraper::default(),
@@ -126,8 +109,13 @@ impl SamplerActor {
         }
     }
 
-    fn sample(&mut self, now: Nanos) {
-        let interval_start = now.saturating_sub(self.interval);
+    /// One tick's scrape pass and the utilization points derived from
+    /// it. With `deltas` (the watchdog is armed) every counter's delta
+    /// is collected there as well, in the scraper's `(name, labels)`
+    /// order.
+    pub(crate) fn sample(&mut self, now: Nanos, mut deltas: Option<&mut Vec<CounterDelta>>) {
+        let interval = self.interval;
+        let interval_start = now.saturating_sub(interval);
         #[derive(Default, Clone, Copy)]
         struct Win {
             dispatch: u64,
@@ -139,8 +127,17 @@ impl SamplerActor {
         // small sorted vec rather than a hash map so the tick stays
         // allocation-light (one vec of a handful of servers).
         let mut windows: Vec<(ServerId, Win)> = Vec::new();
+        let registry = &self.registry;
         self.scraper
-            .scrape_with(&self.registry, |name, labels, _total, delta| {
+            .scrape_with(registry, |name, labels, total, delta| {
+                if let Some(deltas) = deltas.as_deref_mut() {
+                    deltas.push(CounterDelta {
+                        name,
+                        labels: labels.to_vec(),
+                        total,
+                        delta,
+                    });
+                }
                 let server = labels
                     .iter()
                     .find(|(k, _)| *k == "server")
@@ -155,32 +152,40 @@ impl SamplerActor {
                     }
                 };
                 match name {
-                    "node_dispatch_busy_ns" => w.dispatch = delta,
+                    "node_dispatch_busy_ns" => {
+                        w.dispatch = delta;
+                        // The clamp below is counted here, inside the
+                        // pass: `node_dispatch_overcommit_total` sorts
+                        // after this family, so this tick's deltas
+                        // already carry the bump.
+                        if delta > interval {
+                            registry
+                                .counter(
+                                    DISPATCH_OVERCOMMIT_FAMILY,
+                                    DISPATCH_OVERCOMMIT_HELP,
+                                    &[("server", server.0.to_string())],
+                                )
+                                .inc();
+                        }
+                    }
                     "node_worker_busy_ns" => w.worker = delta,
                     "node_bytes_migrated_in" => w.bytes_in = delta,
                     "node_bytes_migrated_out" => w.bytes_out = delta,
                     _ => {}
                 }
             });
-        let dt = self.interval as f64;
+        let dt = interval as f64;
         let mut out = self.out.borrow_mut();
         for (server, w) in windows {
             // A dispatch core is one core: busy time can exceed the
             // interval both benignly (a charge posted at the tick
             // boundary lands in the next window) and structurally (the
             // model double-books the core). Clamp to [0, 1] for the
-            // figures, but surface every clamped window as a counter
-            // bump and a validate() warning instead of hiding it.
-            let dispatch = if w.dispatch > self.interval {
-                self.registry
-                    .counter(
-                        DISPATCH_OVERCOMMIT_FAMILY,
-                        DISPATCH_OVERCOMMIT_HELP,
-                        &[("server", server.0.to_string())],
-                    )
-                    .inc();
+            // figures, but surface every clamped window as a counter bump
+            // (above) and a validate() warning instead of hiding it.
+            let dispatch = if w.dispatch > interval {
                 out.overcommit
-                    .push((server, interval_start, w.dispatch - self.interval));
+                    .push((server, interval_start, w.dispatch - interval));
                 1.0
             } else {
                 w.dispatch as f64 / dt
@@ -201,36 +206,16 @@ impl SamplerActor {
     }
 }
 
-impl Actor<Envelope> for SamplerActor {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        ctx.timer(self.interval, 0);
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-        if let Event::Timer { .. } = event {
-            self.sample(ctx.now());
-            ctx.timer(self.interval, 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rocksteady_common::MILLISECOND;
     use rocksteady_server::stats::registered_stats;
 
-    fn sampler(
-        reg: &Registry,
-        capture: bool,
-    ) -> (SamplerActor, UtilSeriesHandle, SnapshotLogHandle) {
+    fn sampler(reg: &Registry, capture: bool) -> (Sampler, UtilSeriesHandle, SnapshotLogHandle) {
         let out: UtilSeriesHandle = Rc::new(RefCell::new(UtilSeries::default()));
         let snaps: SnapshotLogHandle = Rc::new(RefCell::new(Vec::new()));
-        let s = SamplerActor::new(
+        let s = Sampler::new(
             MILLISECOND,
             reg.clone(),
             capture,
@@ -248,8 +233,8 @@ mod tests {
         let stats = registered_stats(&reg, ServerId(0));
         let (mut s, out, _) = sampler(&reg, false);
         stats.dispatch_busy_ns.add(MILLISECOND / 2);
-        s.sample(MILLISECOND);
-        s.sample(2 * MILLISECOND); // nothing happened in this window
+        s.sample(MILLISECOND, None);
+        s.sample(2 * MILLISECOND, None); // nothing happened in this window
         let util = out.borrow();
         let points = &util.by_server[&ServerId(0)];
         assert_eq!(points.len(), 2);
@@ -269,12 +254,12 @@ mod tests {
         let reg = Registry::new();
         let _s0 = registered_stats(&reg, ServerId(0));
         let (mut s, out, _) = sampler(&reg, false);
-        s.sample(MILLISECOND);
+        s.sample(MILLISECOND, None);
         assert!(!out.borrow().by_server.contains_key(&ServerId(7)));
 
         let late = registered_stats(&reg, ServerId(7));
         late.bytes_migrated_in.add(4_096);
-        s.sample(2 * MILLISECOND);
+        s.sample(2 * MILLISECOND, None);
         let util = out.borrow();
         let points = &util.by_server[&ServerId(7)];
         assert_eq!(points.len(), 1);
@@ -293,7 +278,7 @@ mod tests {
         let (mut s, out, _) = sampler(&reg, false);
         stats.dispatch_busy_ns.add(3 * MILLISECOND);
         stats.worker_busy_ns.add(4 * MILLISECOND);
-        s.sample(MILLISECOND);
+        s.sample(MILLISECOND, None);
         let util = out.borrow();
         let p = util.by_server[&ServerId(0)][0];
         assert_eq!(p.dispatch, 1.0, "dispatch clamped to one core");
@@ -301,9 +286,14 @@ mod tests {
         // The clamp is visible, not silent.
         assert_eq!(stats.dispatch_overcommit.get(), 1);
         assert_eq!(util.overcommit, vec![(ServerId(0), 0, 2 * MILLISECOND)]);
-        let warnings = util.validate();
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("overcommitted by"), "{}", warnings[0]);
+        assert_eq!(
+            util.validate(),
+            vec![
+                "dispatch overcommitted by 2000000 ns on server 0 in the window \
+                 starting at 0 (clamped to 1.0)"
+                    .to_string()
+            ]
+        );
     }
 
     /// An in-bounds window neither counts nor warns.
@@ -313,7 +303,7 @@ mod tests {
         let stats = registered_stats(&reg, ServerId(0));
         let (mut s, out, _) = sampler(&reg, false);
         stats.dispatch_busy_ns.add(MILLISECOND / 2);
-        s.sample(MILLISECOND);
+        s.sample(MILLISECOND, None);
         assert_eq!(stats.dispatch_overcommit.get(), 0);
         assert!(out.borrow().validate().is_empty());
     }
@@ -327,8 +317,8 @@ mod tests {
             let stats = registered_stats(&reg, ServerId(0));
             let (mut s, out, snaps) = sampler(&reg, capture);
             stats.dispatch_busy_ns.add(MILLISECOND / 4);
-            s.sample(MILLISECOND);
-            s.sample(2 * MILLISECOND);
+            s.sample(MILLISECOND, None);
+            s.sample(2 * MILLISECOND, None);
             assert_eq!(out.borrow().by_server[&ServerId(0)].len(), 2);
             let snaps = snaps.borrow();
             if capture {

@@ -2,17 +2,14 @@
 //!
 //! Rocksteady's whole premise is migrating *without* violating tail
 //! latency SLAs (the paper targets 99.9th-percentile reads). The
-//! monitor windows every client's cumulative read-latency histogram
-//! (family `client_read_latency_ns`) once per interval, takes the
-//! in-window p50/p99.9 via `delta_since`, and compares the tail against
-//! the configured SLA. It publishes `slo_*` gauges/counters back into
-//! the same registry and keeps a queryable [`SloReport`] so the
-//! migration manager (or an experiment script) can ask "am I currently
+//! monitor is the second step of the cluster's cadence tick
+//! ([`crate::cadence`]): it windows every client's cumulative
+//! read-latency histogram (family `client_read_latency_ns`) once per
+//! interval, takes the in-window p50/p99.9 via `delta_since`, and
+//! compares the tail against the configured SLA. It publishes `slo_*`
+//! gauges/counters back into the same registry and keeps a queryable
+//! [`SloReport`] so an experiment script can ask "am I currently
 //! hurting clients?" and see the remaining headroom.
-//!
-//! The actor is always installed with a fixed timer cadence; the SLA
-//! value only changes what is *recorded*, never the event schedule, so
-//! arming it cannot perturb a deterministic run.
 //!
 //! The monitor answers *that* the tail breached; its post-hoc companion
 //! [`Cluster::tail_blame_report`](crate::Cluster::tail_blame_report)
@@ -26,8 +23,6 @@ use std::rc::Rc;
 use rocksteady_common::{Histogram, Nanos};
 use rocksteady_metrics::timeline::delta_histogram;
 use rocksteady_metrics::{Counter, Gauge, Registry};
-use rocksteady_proto::Envelope;
-use rocksteady_simnet::{Actor, Ctx, Event};
 
 pub use rocksteady_profiler::TailBlameReport;
 
@@ -76,8 +71,12 @@ impl SloReport {
 /// Shared handle to the latest [`SloReport`].
 pub type SloHandle = Rc<RefCell<SloReport>>;
 
-/// The monitor actor. One per cluster, scraping the shared registry.
-pub struct SloMonitor {
+/// Counter family of the breached-interval count.
+pub(crate) const SLO_BREACH_FAMILY: &str = "slo_breach_intervals_total";
+
+/// The SLO step of the cadence tick. One per cluster, windowing the
+/// shared registry.
+pub(crate) struct SloMonitor {
     interval: Nanos,
     registry: Registry,
     sla: Option<Nanos>,
@@ -88,20 +87,26 @@ pub struct SloMonitor {
     g_p50: Gauge,
     g_p999: Gauge,
     g_headroom: Gauge,
-    g_sla: Gauge,
     c_breaches: Counter,
     g_burn_fast: Gauge,
     g_burn_slow: Gauge,
     /// Per-interval outcomes, most recent last, trimmed to the slow
     /// window: `None` for an empty interval, `Some(breached)` otherwise.
     history: std::collections::VecDeque<Option<bool>>,
+    /// Fast/slow burn rates (permille) as of the last window.
+    pub(crate) burn: (u64, u64),
 }
 
 impl SloMonitor {
     /// Creates a monitor evaluating every `interval` of virtual time
     /// against `sla` (99.9th-percentile read latency), publishing into
     /// `registry` and `out`.
-    pub fn new(interval: Nanos, registry: Registry, sla: Option<Nanos>, out: SloHandle) -> Self {
+    pub(crate) fn new(
+        interval: Nanos,
+        registry: Registry,
+        sla: Option<Nanos>,
+        out: SloHandle,
+    ) -> Self {
         let no = [];
         let g_p50 = registry.gauge(
             "slo_read_p50_ns",
@@ -118,13 +123,15 @@ impl SloMonitor {
             "sla minus windowed p99.9 (negative while violating)",
             &no,
         );
-        let g_sla = registry.gauge(
-            "slo_read_sla_ns",
-            "configured p99.9 read SLA (-1 when unset)",
-            &no,
-        );
+        registry
+            .gauge(
+                "slo_read_sla_ns",
+                "configured p99.9 read SLA (-1 when unset)",
+                &no,
+            )
+            .set(sla.map_or(-1, |s| s as i64));
         let c_breaches = registry.counter(
-            "slo_breach_intervals_total",
+            SLO_BREACH_FAMILY,
             "intervals whose windowed p99.9 exceeded the SLA",
             &no,
         );
@@ -140,7 +147,6 @@ impl SloMonitor {
         );
         g_p50.set(-1);
         g_p999.set(-1);
-        g_sla.set(sla.map_or(-1, |s| s as i64));
         out.borrow_mut().sla = sla;
         SloMonitor {
             interval,
@@ -151,11 +157,11 @@ impl SloMonitor {
             g_p50,
             g_p999,
             g_headroom,
-            g_sla,
             c_breaches,
             g_burn_fast,
             g_burn_slow,
             history: std::collections::VecDeque::new(),
+            burn: (0, 0),
         }
     }
 
@@ -180,8 +186,8 @@ impl SloMonitor {
         (breached * 1000).checked_div(non_empty).unwrap_or(0)
     }
 
-    /// Pushes this interval's outcome and republishes both burn gauges.
-    fn record_burn(&mut self, outcome: Option<bool>) -> (u64, u64) {
+    /// Pushes this interval's outcome and republishes both burn rates.
+    fn record_burn(&mut self, outcome: Option<bool>) {
         let slow_n = self.window_intervals(10 * rocksteady_common::SECOND);
         self.history.push_back(outcome);
         while self.history.len() > slow_n {
@@ -191,10 +197,12 @@ impl SloMonitor {
         let slow = self.burn_permille(slow_n);
         self.g_burn_fast.set(fast as i64);
         self.g_burn_slow.set(slow as i64);
-        (fast, slow)
+        self.burn = (fast, slow);
     }
 
-    fn evaluate(&mut self, now: Nanos) {
+    /// Evaluates the window ending at `now`; returns whether it counted
+    /// a breach.
+    pub(crate) fn evaluate(&mut self, now: Nanos) -> bool {
         let mut merged = Histogram::new();
         for (_, h) in self.registry.histograms_of("client_read_latency_ns") {
             h.with(|hist| merged.merge(hist));
@@ -202,57 +210,38 @@ impl SloMonitor {
         let window = delta_histogram(&merged, &self.prev);
         self.prev = merged;
 
-        let mut report = self.out.borrow_mut();
-        report.at = now;
-        report.window_reads = window.count();
-        if window.count() == 0 {
-            // Nothing completed: leave the last percentiles in place and
-            // never count a breach (no client observed anything).
-            report.p50 = 0;
-            report.p999 = 0;
-            drop(report);
-            let (fast, slow) = self.record_burn(None);
-            let mut report = self.out.borrow_mut();
-            report.burn_fast_permille = fast;
-            report.burn_slow_permille = slow;
-            return;
-        }
-        report.p50 = window.percentile(0.5);
-        report.p999 = window.percentile(0.999);
-        self.g_p50.set(report.p50 as i64);
-        self.g_p999.set(report.p999 as i64);
-        let mut breached = false;
-        if let Some(sla) = self.sla {
-            let headroom = sla as i64 - report.p999 as i64;
-            self.g_headroom.set(headroom);
-            if headroom < 0 {
-                report.breach_intervals = self.c_breaches.inc();
-                breached = true;
+        let reads = window.count();
+        let (mut p50, mut p999, mut breached) = (0, 0, false);
+        // An empty window leaves the gauges at their last values and
+        // never counts a breach: no client observed anything.
+        if reads > 0 {
+            p50 = window.percentile(0.5);
+            p999 = window.percentile(0.999);
+            self.g_p50.set(p50 as i64);
+            self.g_p999.set(p999 as i64);
+            if let Some(sla) = self.sla {
+                let headroom = sla as i64 - p999 as i64;
+                self.g_headroom.set(headroom);
+                if headroom < 0 {
+                    self.c_breaches.inc();
+                    breached = true;
+                }
             }
         }
-        drop(report);
-        let (fast, slow) = self.record_burn(Some(breached));
+        self.record_burn((reads > 0).then_some(breached));
         let mut report = self.out.borrow_mut();
-        report.burn_fast_permille = fast;
-        report.burn_slow_permille = slow;
-        let _ = &self.g_sla; // published once at construction
-    }
-}
-
-impl Actor<Envelope> for SloMonitor {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+        report.at = now;
+        report.window_reads = reads;
+        report.p50 = p50;
+        report.p999 = p999;
+        report.breach_intervals = self.c_breaches.get();
+        (report.burn_fast_permille, report.burn_slow_permille) = self.burn;
+        breached
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        ctx.timer(self.interval, 0);
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-        if let Event::Timer { .. } = event {
-            self.evaluate(ctx.now());
-            ctx.timer(self.interval, 0);
-        }
+    /// Intervals so far whose p99.9 exceeded the SLA.
+    pub(crate) fn breach_intervals(&self) -> u64 {
+        self.c_breaches.get()
     }
 }
 

@@ -1,25 +1,17 @@
-//! The flight-recorder watchdog actor.
+//! The flight-recorder watchdog: the last step of the cadence tick.
 //!
-//! Always installed at a fixed cadence (the cluster sampling interval),
-//! exactly like the sampler and the SLO monitor: the timer cadence is
-//! identical whether or not `ClusterConfig::flight_recorder` is armed,
-//! so arming the recorder cannot perturb the event schedule —
-//! `events_processed()` stays byte-identical. (Conditionally installing
-//! the actor, as the rebalancer does, would be wrong here: the
-//! recorder's whole point is to be *always on*, and its acceptance
-//! criterion is schedule identity between armed and disarmed runs.)
-//!
-//! When armed, each tick assembles a [`WatchdogSample`] from live
-//! handles — SLO burn rates from the monitor, per-run gather/replay
-//! progress from every server's stats, counter deltas from the metrics
-//! registry, lineage-dependency ages from the coordinator — and
-//! evaluates the pluggable detector catalog on it (all pure state
-//! mutation on the virtual clock: no extra timers, no RNG). If a
-//! detector fires and the [`CooldownTracker`] admits it, the rings are
-//! frozen into one [`Incident`] bundle.
+//! It runs only when `ClusterConfig::flight_recorder` is armed. Each
+//! tick it assembles a [`WatchdogSample`] from live state — SLO burn
+//! rates from the tick's SLO step, per-run gather/replay progress from
+//! every server's stats, counter totals from the tick's scrape pass,
+//! lineage-dependency ages from the coordinator — and evaluates the
+//! detector catalog on it (all pure state mutation on the virtual
+//! clock: no extra timers, no RNG). If a detector fires and the
+//! [`CooldownTracker`] admits it, the rings are frozen into one
+//! [`Incident`] bundle.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use rocksteady_audit::AuditSink;
@@ -28,16 +20,14 @@ use rocksteady_flightrec::{
     build_detectors, CooldownTracker, Detector, DetectorReading, FlightRecorderConfig,
     LineageSample, MigrationSample, WatchdogSample,
 };
-use rocksteady_metrics::{Counter, CounterDelta, DeltaScraper, Registry};
+use rocksteady_metrics::{Counter, CounterDelta, Registry};
 use rocksteady_profiler::Profiler;
-use rocksteady_proto::Envelope;
 use rocksteady_server::stats::StatsHandle;
-use rocksteady_simnet::{Actor, Ctx, Event};
 use rocksteady_trace::Tracer;
 
 use crate::coordinator_actor::CoordHandle;
 use crate::incident::{build_bundle, BundleInputs, Incident};
-use crate::slo::SloHandle;
+use crate::slo::{SloMonitor, SLO_BREACH_FAMILY};
 
 /// Shared, append-only incident log: one entry per exported bundle.
 pub type IncidentLogHandle = Rc<RefCell<Vec<Incident>>>;
@@ -45,19 +35,16 @@ pub type IncidentLogHandle = Rc<RefCell<Vec<Incident>>>;
 /// Counter family name for trace-ring drop accounting.
 pub const TRACE_DROPPED_FAMILY: &str = "trace_events_dropped_total";
 
-/// The armed half of the watchdog: detector catalog, cooldowns, and
-/// every live handle a sample is assembled from.
-struct WatchdogCore {
+/// The armed watchdog: detector catalog, cooldowns, and every live
+/// handle a sample is assembled from.
+pub(crate) struct Watchdog {
     cfg: FlightRecorderConfig,
-    detectors: Vec<Box<dyn Detector>>,
+    detectors: Vec<Detector>,
     cooldowns: CooldownTracker,
-    slo: SloHandle,
     /// Per-server stats, sorted by server id for deterministic sample
     /// assembly.
     server_stats: Vec<(ServerId, StatsHandle)>,
     coord: CoordHandle,
-    registry: Registry,
-    scraper: DeltaScraper,
     trace: Tracer,
     profiler: Profiler,
     audit: AuditSink,
@@ -65,97 +52,85 @@ struct WatchdogCore {
     /// First-seen virtual time of each outstanding lineage dependency
     /// (the coordinator keeps no timestamps; ages are watchdog-local).
     lineage_first_seen: BTreeMap<u64, Nanos>,
-    /// Registry counter mirroring [`Tracer::dropped`].
+    /// Registry counter mirroring [`Tracer::dropped`] (its only
+    /// writer).
     trace_dropped: Counter,
-    trace_dropped_last: u64,
 }
 
-/// The always-installed watchdog actor. With `core: None` (recorder
-/// disarmed) each tick is timer-pop + re-arm and nothing else — the
-/// same schedule an armed run produces.
-pub struct WatchdogActor {
-    interval: Nanos,
-    core: Option<WatchdogCore>,
-}
-
-/// Everything the armed watchdog samples from, passed by the harness.
-pub struct WatchdogWiring {
-    /// SLO monitor output (burn rates).
-    pub slo: SloHandle,
-    /// Per-server stats handles.
-    pub server_stats: Vec<(ServerId, StatsHandle)>,
-    /// Shared coordinator state (lineage deps).
-    pub coord: CoordHandle,
-    /// The cluster metrics registry.
-    pub registry: Registry,
-    /// Shared trace buffer.
-    pub trace: Tracer,
-    /// Shared profiler ledger.
-    pub profiler: Profiler,
-    /// Shared audit stream.
-    pub audit: AuditSink,
-    /// Where exported bundles land.
-    pub incidents: IncidentLogHandle,
-}
-
-impl WatchdogActor {
-    /// A disarmed watchdog: ticks at `interval` and does nothing else.
-    pub fn disarmed(interval: Nanos) -> Self {
-        WatchdogActor {
-            interval,
-            core: None,
-        }
-    }
-
-    /// An armed watchdog evaluating `cfg.detectors` every `interval`.
-    pub fn armed(interval: Nanos, cfg: FlightRecorderConfig, wiring: WatchdogWiring) -> Self {
-        let mut server_stats = wiring.server_stats;
+impl Watchdog {
+    /// A watchdog evaluating `cfg.detectors` over the given live
+    /// handles; registers the trace-drop counter in `registry`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        cfg: FlightRecorderConfig,
+        registry: &Registry,
+        server_stats: &HashMap<ServerId, StatsHandle>,
+        coord: CoordHandle,
+        trace: Tracer,
+        profiler: Profiler,
+        audit: AuditSink,
+        incidents: IncidentLogHandle,
+    ) -> Self {
+        let mut server_stats: Vec<_> = server_stats
+            .iter()
+            .map(|(id, h)| (*id, Rc::clone(h)))
+            .collect();
         server_stats.sort_by_key(|(id, _)| *id);
-        let detectors = build_detectors(&cfg.detectors);
-        let cooldowns = CooldownTracker::new(cfg.incident_cooldown_ns, cfg.detector_cooldown_ns);
-        let trace_dropped = wiring.registry.counter(
+        let trace_dropped = registry.counter(
             TRACE_DROPPED_FAMILY,
             "trace events discarded by ring-buffer compaction",
             &[],
         );
-        WatchdogActor {
-            interval,
-            core: Some(WatchdogCore {
-                cfg,
-                detectors,
-                cooldowns,
-                slo: wiring.slo,
-                server_stats,
-                coord: wiring.coord,
-                registry: wiring.registry,
-                scraper: DeltaScraper::new(),
-                trace: wiring.trace,
-                profiler: wiring.profiler,
-                audit: wiring.audit,
-                incidents: wiring.incidents,
-                lineage_first_seen: BTreeMap::new(),
-                trace_dropped,
-                trace_dropped_last: 0,
-            }),
+        Watchdog {
+            detectors: build_detectors(&cfg.detectors),
+            cooldowns: CooldownTracker::new(cfg.incident_cooldown_ns, cfg.detector_cooldown_ns),
+            cfg,
+            server_stats,
+            coord,
+            trace,
+            profiler,
+            audit,
+            incidents,
+            lineage_first_seen: BTreeMap::new(),
+            trace_dropped,
         }
     }
-}
 
-impl WatchdogCore {
-    /// Assembles this tick's sample from the live handles. Pure reads
-    /// plus scraper-local state; deterministic order throughout.
-    fn sample(&mut self, now: Nanos, interval: Nanos) -> (WatchdogSample, Vec<CounterDelta>) {
+    /// Assembles this tick's sample from the tick's scrape pass
+    /// (`deltas`), its SLO step (`breached`: whether that step counted
+    /// a breach) and the live handles. Apart from the trace-drop sync,
+    /// pure reads plus watchdog-local state; deterministic order
+    /// throughout.
+    fn sample(
+        &mut self,
+        now: Nanos,
+        slo: &SloMonitor,
+        breached: bool,
+        deltas: &mut [CounterDelta],
+    ) -> WatchdogSample {
         // Keep the drop counter in sync with the trace ring.
-        let dropped = self.trace.dropped();
-        if dropped > self.trace_dropped_last {
-            self.trace_dropped.add(dropped - self.trace_dropped_last);
-            self.trace_dropped_last = dropped;
-        }
+        let added = self
+            .trace
+            .dropped()
+            .saturating_sub(self.trace_dropped.get());
+        self.trace_dropped.add(added);
 
-        let deltas = self.scraper.scrape(&self.registry);
+        // The SLO step and the sync above write their counters after
+        // the tick's scrape pass. Nothing else writes them, so each one's
+        // delta is exactly what this tick added: restate both as a
+        // scrape at the end of the tick would read them.
+        for (family, total, delta) in [
+            (SLO_BREACH_FAMILY, slo.breach_intervals(), breached as u64),
+            (TRACE_DROPPED_FAMILY, self.trace_dropped.get(), added),
+        ] {
+            if let Some(d) = deltas.iter_mut().find(|d| d.name == family) {
+                d.total = total;
+                d.delta = delta;
+            }
+        }
         let mut overcommit_total = 0u64;
         let mut retries_total = 0u64;
-        for d in &deltas {
+        for d in deltas.iter() {
             match d.name {
                 rocksteady_server::stats::DISPATCH_OVERCOMMIT_FAMILY => overcommit_total += d.total,
                 rocksteady_workload::stats::CLIENT_RETRIES_FAMILY => retries_total += d.total,
@@ -200,24 +175,15 @@ impl WatchdogCore {
             .collect();
         lineage.sort_by_key(|d| d.id);
 
-        let (burn_fast, burn_slow) = {
-            let r = self.slo.borrow();
-            (r.burn_fast_permille, r.burn_slow_permille)
-        };
-
-        (
-            WatchdogSample {
-                at: now,
-                interval_ns: interval,
-                burn_fast_permille: burn_fast,
-                burn_slow_permille: burn_slow,
-                migrations,
-                dispatch_overcommit_total: overcommit_total,
-                client_retries_total: retries_total,
-                lineage,
-            },
-            deltas,
-        )
+        WatchdogSample {
+            at: now,
+            burn_fast_permille: slo.burn.0,
+            burn_slow_permille: slo.burn.1,
+            migrations,
+            dispatch_overcommit_total: overcommit_total,
+            client_retries_total: retries_total,
+            lineage,
+        }
     }
 
     /// The causal explain for the triggering reading: progress
@@ -233,8 +199,16 @@ impl WatchdogCore {
         }
     }
 
-    fn tick(&mut self, now: Nanos, interval: Nanos) {
-        let (sample, deltas) = self.sample(now, interval);
+    /// The watchdog step of one cadence tick: samples, evaluates the
+    /// detectors, and exports a bundle when one fires out of cooldown.
+    pub(crate) fn tick(
+        &mut self,
+        now: Nanos,
+        slo: &SloMonitor,
+        breached: bool,
+        mut deltas: Vec<CounterDelta>,
+    ) {
+        let sample = self.sample(now, slo, breached, &mut deltas);
         let firing: Vec<DetectorReading> = self
             .detectors
             .iter_mut()
@@ -267,30 +241,5 @@ impl WatchdogCore {
             trigger: trigger.detector,
             bundle,
         });
-    }
-}
-
-impl Actor<Envelope> for WatchdogActor {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        ctx.timer(self.interval, 0);
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-        if let Event::Timer { .. } = event {
-            // Armed: evaluate detectors (pure state mutation). Disarmed:
-            // nothing. The re-armed timer is identical either way.
-            if self.core.is_some() {
-                let now = ctx.now();
-                let interval = self.interval;
-                if let Some(core) = self.core.as_mut() {
-                    core.tick(now, interval);
-                }
-            }
-            ctx.timer(self.interval, 0);
-        }
     }
 }

@@ -13,11 +13,10 @@
 //!
 //! - [`FlightRecorderConfig`]: ring capacities, bundle window, and the
 //!   detector catalog with thresholds;
-//! - [`Detector`]: the pluggable anomaly-detector interface, evaluated
-//!   once per sampling interval on a [`WatchdogSample`] assembled by
-//!   the cluster watchdog actor (virtual clock only — detectors never
-//!   read wall time);
-//! - the five built-in detectors: multi-window SLO burn rate
+//! - [`Detector`]: one of the five detectors, evaluated once per
+//!   sampling interval on a [`WatchdogSample`] assembled by the
+//!   cluster's watchdog step (virtual clock only — detectors never read
+//!   wall time). The five are: multi-window SLO burn rate
 //!   ([`SloBurnDetector`]), migration-progress stall
 //!   ([`MigrationStallDetector`]), replay-backlog watermark
 //!   ([`ReplayBacklogDetector`]), dispatch overcommit
@@ -170,8 +169,8 @@ impl Default for DetectorConfig {
 /// Configuration of the cluster flight recorder.
 ///
 /// Arming the recorder (`ClusterConfig::flight_recorder = Some(..)`)
-/// never perturbs the event schedule: the watchdog actor is installed
-/// at a fixed cadence either way (like the sampler and SLO monitor),
+/// never perturbs the event schedule: the watchdog is a step of the
+/// cluster's cadence tick, which runs at a fixed cadence either way,
 /// and detector evaluation is pure state mutation on the virtual
 /// clock. With both capacities `None` the trace and profile exports of
 /// an armed run are byte-identical to a disarmed one.
@@ -254,8 +253,6 @@ pub struct LineageSample {
 pub struct WatchdogSample {
     /// Tick time (virtual).
     pub at: Nanos,
-    /// Sampling interval.
-    pub interval_ns: Nanos,
     /// Fast-window (1 s) SLO burn rate in permille of intervals
     /// breaching.
     pub burn_fast_permille: u64,
@@ -328,17 +325,36 @@ pub fn push_escaped(out: &mut String, s: &str) {
 
 // ---------------------------------------------------------- detectors --
 
-/// A pluggable anomaly detector, evaluated once per watchdog tick.
+/// One detector of the catalog, evaluated once per watchdog tick.
 ///
 /// Detectors keep their own integer state (previous counters, stagnant
 /// tick counts) and must be deterministic functions of the sample
 /// stream — no wall clocks, no randomness.
-pub trait Detector {
-    /// Stable detector name (the bundle trigger name when this detector
-    /// fires first).
-    fn name(&self) -> &'static str;
+#[derive(Debug)]
+pub enum Detector {
+    /// [`MigrationStallDetector`].
+    MigrationStall(MigrationStallDetector),
+    /// [`ReplayBacklogDetector`].
+    ReplayBacklog(ReplayBacklogDetector),
+    /// [`SloBurnDetector`].
+    SloBurn(SloBurnDetector),
+    /// [`DispatchOvercommitDetector`].
+    DispatchOvercommit(DispatchOvercommitDetector),
+    /// [`LineageAgeDetector`].
+    LineageAge(LineageAgeDetector),
+}
+
+impl Detector {
     /// Evaluates one tick; `Some` when the anomaly condition holds.
-    fn evaluate(&mut self, sample: &WatchdogSample) -> Option<DetectorReading>;
+    pub fn evaluate(&mut self, sample: &WatchdogSample) -> Option<DetectorReading> {
+        match self {
+            Detector::MigrationStall(d) => d.evaluate(sample),
+            Detector::ReplayBacklog(d) => d.evaluate(sample),
+            Detector::SloBurn(d) => d.evaluate(sample),
+            Detector::DispatchOvercommit(d) => d.evaluate(sample),
+            Detector::LineageAge(d) => d.evaluate(sample),
+        }
+    }
 }
 
 /// Multi-window SLO burn rate: fires when both the fast (1 s) and the
@@ -353,19 +369,14 @@ impl SloBurnDetector {
     pub fn new(cfg: SloBurnConfig) -> Self {
         SloBurnDetector { cfg }
     }
-}
 
-impl Detector for SloBurnDetector {
-    fn name(&self) -> &'static str {
-        "slo-burn"
-    }
-
-    fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
+    /// Evaluates one tick; `Some` when the anomaly condition holds.
+    pub fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
         if s.burn_fast_permille >= self.cfg.fast_threshold_permille
             && s.burn_slow_permille >= self.cfg.slow_threshold_permille
         {
             return Some(DetectorReading {
-                detector: self.name(),
+                detector: "slo-burn",
                 value: s.burn_fast_permille,
                 threshold: self.cfg.fast_threshold_permille,
                 subject: None,
@@ -401,14 +412,9 @@ impl MigrationStallDetector {
             seen: BTreeMap::new(),
         }
     }
-}
 
-impl Detector for MigrationStallDetector {
-    fn name(&self) -> &'static str {
-        "migration-stall"
-    }
-
-    fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
+    /// Evaluates one tick; `Some` when the anomaly condition holds.
+    pub fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
         // Drop state for runs that are no longer in flight.
         let live: Vec<u64> = s
             .migrations
@@ -442,7 +448,7 @@ impl Detector for MigrationStallDetector {
             }
         }
         worst.map(|(id, stagnant, m)| DetectorReading {
-            detector: self.name(),
+            detector: "migration-stall",
             value: stagnant,
             threshold: self.cfg.stall_intervals,
             subject: Some(id),
@@ -469,14 +475,9 @@ impl ReplayBacklogDetector {
     pub fn new(cfg: ReplayBacklogConfig) -> Self {
         ReplayBacklogDetector { cfg, sustained: 0 }
     }
-}
 
-impl Detector for ReplayBacklogDetector {
-    fn name(&self) -> &'static str {
-        "replay-backlog"
-    }
-
-    fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
+    /// Evaluates one tick; `Some` when the anomaly condition holds.
+    pub fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
         let worst = s
             .migrations
             .iter()
@@ -494,7 +495,7 @@ impl Detector for ReplayBacklogDetector {
         }
         if self.sustained >= self.cfg.sustain_intervals {
             return Some(DetectorReading {
-                detector: self.name(),
+                detector: "replay-backlog",
                 value: backlog,
                 threshold: self.cfg.watermark_records,
                 subject: Some(m.id),
@@ -534,14 +535,9 @@ impl DispatchOvercommitDetector {
             deltas: Vec::new(),
         }
     }
-}
 
-impl Detector for DispatchOvercommitDetector {
-    fn name(&self) -> &'static str {
-        "dispatch-overcommit"
-    }
-
-    fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
+    /// Evaluates one tick; `Some` when the anomaly condition holds.
+    pub fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
         let delta = s.dispatch_overcommit_total.saturating_sub(self.prev_total);
         self.prev_total = s.dispatch_overcommit_total;
         self.deltas.push(delta);
@@ -553,7 +549,7 @@ impl Detector for DispatchOvercommitDetector {
         let windowed: u64 = self.deltas.iter().sum();
         if windowed >= self.cfg.threshold_windows {
             return Some(DetectorReading {
-                detector: self.name(),
+                detector: "dispatch-overcommit",
                 value: windowed,
                 threshold: self.cfg.threshold_windows,
                 subject: None,
@@ -581,21 +577,16 @@ impl LineageAgeDetector {
     pub fn new(cfg: LineageAgeConfig) -> Self {
         LineageAgeDetector { cfg }
     }
-}
 
-impl Detector for LineageAgeDetector {
-    fn name(&self) -> &'static str {
-        "lineage-age"
-    }
-
-    fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
+    /// Evaluates one tick; `Some` when the anomaly condition holds.
+    pub fn evaluate(&mut self, s: &WatchdogSample) -> Option<DetectorReading> {
         let oldest = s
             .lineage
             .iter()
             .max_by_key(|d| (d.age_ns, std::cmp::Reverse(d.id)))?;
         if oldest.age_ns >= self.cfg.max_age_ns {
             return Some(DetectorReading {
-                detector: self.name(),
+                detector: "lineage-age",
                 value: oldest.age_ns,
                 threshold: self.cfg.max_age_ns,
                 subject: Some(oldest.id),
@@ -614,24 +605,22 @@ impl Detector for LineageAgeDetector {
 
 /// Builds the detector catalog from `cfg`, in evaluation (= trigger
 /// priority) order: stall, backlog, SLO burn, overcommit, lineage age.
-pub fn build_detectors(cfg: &DetectorConfig) -> Vec<Box<dyn Detector>> {
-    let mut out: Vec<Box<dyn Detector>> = Vec::new();
-    if let Some(c) = cfg.migration_stall {
-        out.push(Box::new(MigrationStallDetector::new(c)));
-    }
-    if let Some(c) = cfg.replay_backlog {
-        out.push(Box::new(ReplayBacklogDetector::new(c)));
-    }
-    if let Some(c) = cfg.slo_burn {
-        out.push(Box::new(SloBurnDetector::new(c)));
-    }
-    if let Some(c) = cfg.dispatch_overcommit {
-        out.push(Box::new(DispatchOvercommitDetector::new(c)));
-    }
-    if let Some(c) = cfg.lineage_age {
-        out.push(Box::new(LineageAgeDetector::new(c)));
-    }
-    out
+pub fn build_detectors(cfg: &DetectorConfig) -> Vec<Detector> {
+    [
+        cfg.migration_stall
+            .map(|c| Detector::MigrationStall(MigrationStallDetector::new(c))),
+        cfg.replay_backlog
+            .map(|c| Detector::ReplayBacklog(ReplayBacklogDetector::new(c))),
+        cfg.slo_burn
+            .map(|c| Detector::SloBurn(SloBurnDetector::new(c))),
+        cfg.dispatch_overcommit
+            .map(|c| Detector::DispatchOvercommit(DispatchOvercommitDetector::new(c))),
+        cfg.lineage_age
+            .map(|c| Detector::LineageAge(LineageAgeDetector::new(c))),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 // ---------------------------------------------------------- cooldowns --
@@ -708,7 +697,6 @@ mod tests {
     fn sample(at: Nanos) -> WatchdogSample {
         WatchdogSample {
             at,
-            interval_ns: 10 * MILLISECOND,
             ..WatchdogSample::default()
         }
     }
@@ -870,16 +858,18 @@ mod tests {
     #[test]
     fn trigger_priority_is_catalog_order() {
         let detectors = build_detectors(&DetectorConfig::default());
-        let names: Vec<&str> = detectors.iter().map(|d| d.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "migration-stall",
-                "replay-backlog",
-                "slo-burn",
-                "dispatch-overcommit",
-                "lineage-age",
-            ]
+        assert!(
+            matches!(
+                detectors.as_slice(),
+                [
+                    Detector::MigrationStall(_),
+                    Detector::ReplayBacklog(_),
+                    Detector::SloBurn(_),
+                    Detector::DispatchOvercommit(_),
+                    Detector::LineageAge(_),
+                ]
+            ),
+            "{detectors:?}"
         );
     }
 

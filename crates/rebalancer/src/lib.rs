@@ -6,13 +6,12 @@
 //! coordinator-side loop that notices imbalance and starts migrations
 //! on its own. This crate is the pure decision-making half of that
 //! loop: given a [`ClusterView`] (per-server load, tablet ownership,
-//! SLO headroom, in-flight migrations), a [`PlacementPolicy`] proposes
+//! in-flight migrations), the [`GreedyLoadDelta`] policy proposes
 //! tablet moves and [`AdmissionCaps`] bounds how many may run at once.
 //!
 //! Everything here is deterministic and side-effect free — the driving
 //! actor (in `rocksteady-cluster`) owns the clock, the RPCs, and the
-//! migration ids. Policies are pluggable behind a boxed trait so
-//! experiments can swap strategies without touching the actor.
+//! migration ids.
 
 use rocksteady_common::{HashRange, Nanos, ServerId, TableId};
 
@@ -59,9 +58,6 @@ pub struct ClusterView {
     /// Per-server loads, sorted by [`ServerId`] (determinism: policies
     /// iterate in this order and break ties by it).
     pub servers: Vec<ServerLoad>,
-    /// `sla - windowed p99.9` from the live SLO monitor; `None` when no
-    /// SLA is configured or no window has completed yet.
-    pub slo_headroom: Option<i64>,
     /// Migrations already running.
     pub in_flight: Vec<MoveInFlight>,
 }
@@ -79,37 +75,7 @@ pub struct MoveProposal {
     pub target: ServerId,
 }
 
-/// A placement strategy. Implementations must be deterministic: the
-/// same sequence of views must always produce the same proposals, in
-/// the same order (policies may keep history — e.g. move cooldowns —
-/// but never non-deterministic state).
-pub trait PlacementPolicy {
-    /// Short stable name (lands in reports and CSV headers).
-    fn name(&self) -> &'static str;
-
-    /// Proposes tablet moves for this view, most urgent first. The
-    /// caller applies admission control; policies should not try to
-    /// bound concurrency themselves beyond not proposing nonsense.
-    fn propose(&mut self, view: &ClusterView) -> Vec<MoveProposal>;
-
-    /// Clones the policy behind the trait object (configs holding a
-    /// boxed policy stay `Clone`).
-    fn clone_box(&self) -> Box<dyn PlacementPolicy>;
-}
-
-impl Clone for Box<dyn PlacementPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-impl std::fmt::Debug for Box<dyn PlacementPolicy> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PlacementPolicy({})", self.name())
-    }
-}
-
-/// Greedy dispatch-load leveling.
+/// Greedy dispatch-load leveling, the placement policy.
 ///
 /// Repeatedly pairs the hottest server with the coldest and proposes
 /// moving one of the hot server's tablets across, while the utilization
@@ -117,6 +83,10 @@ impl std::fmt::Debug for Box<dyn PlacementPolicy> {
 /// (`util / tablets`): the simulator keeps per-server, not per-tablet,
 /// counters, and tablet-granularity moves converge under uniform
 /// attribution as long as hot regions span whole tablets.
+///
+/// Deterministic: the same sequence of views always produces the same
+/// proposals, in the same order (the only history is the move
+/// cooldown).
 #[derive(Debug, Clone)]
 pub struct GreedyLoadDelta {
     /// Minimum hottest-minus-coldest dispatch-utilization gap before any
@@ -158,7 +128,10 @@ impl GreedyLoadDelta {
         self
     }
 
-    fn propose_inner(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
+    /// Proposes tablet moves for this view, most urgent first. The
+    /// caller applies admission control; the policy does not bound
+    /// concurrency itself beyond not proposing nonsense.
+    pub fn propose(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
         let now = view.at;
         self.recent
             .retain(|&(_, _, at)| now.saturating_sub(at) < self.cooldown);
@@ -217,53 +190,6 @@ impl GreedyLoadDelta {
             });
         }
         out
-    }
-}
-
-impl PlacementPolicy for GreedyLoadDelta {
-    fn name(&self) -> &'static str {
-        "greedy-load-delta"
-    }
-
-    fn propose(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
-        self.propose_inner(view)
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Greedy leveling gated on SLO headroom.
-///
-/// Migration costs dispatch time on both participants; starting one
-/// while client tails are already brushing the SLA converts imbalance
-/// into breaches. This policy proposes the same moves as
-/// [`GreedyLoadDelta`] but only when the live p99.9 headroom is above
-/// `min_headroom_ns` (and always when no SLA is configured — nothing to
-/// protect).
-#[derive(Debug, Clone, Default)]
-pub struct HeadroomAware {
-    /// The underlying leveling policy.
-    pub greedy: GreedyLoadDelta,
-    /// Required `sla - p99.9` slack before proposing any move.
-    pub min_headroom_ns: i64,
-}
-
-impl PlacementPolicy for HeadroomAware {
-    fn name(&self) -> &'static str {
-        "headroom-aware"
-    }
-
-    fn propose(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
-        match view.slo_headroom {
-            Some(h) if h < self.min_headroom_ns => Vec::new(),
-            _ => self.greedy.propose_inner(view),
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -350,7 +276,6 @@ mod tests {
         ClusterView {
             at: 0,
             servers,
-            slo_headroom: None,
             in_flight: Vec::new(),
         }
     }
@@ -415,21 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn headroom_gate_blocks_when_tails_are_tight() {
-        let mut p = HeadroomAware {
-            greedy: GreedyLoadDelta::new(0.1, 4),
-            min_headroom_ns: 10_000,
-        };
-        let mut v = view(&[(0, 0.9, 4), (1, 0.2, 4)]);
-        v.slo_headroom = Some(5_000); // below the floor: defer
-        assert!(p.propose(&v).is_empty());
-        v.slo_headroom = Some(50_000);
-        assert!(!p.propose(&v).is_empty());
-        v.slo_headroom = None; // no SLA configured: nothing to protect
-        assert!(!p.propose(&v).is_empty());
-    }
-
-    #[test]
     fn admission_caps_bound_source_target_and_cluster() {
         let caps = AdmissionCaps {
             per_source: 1,
@@ -459,13 +369,5 @@ mod tests {
             vec![mk(2, 1), mk(3, 1)],
             "per-source, per-target, and cluster caps all bind"
         );
-    }
-
-    #[test]
-    fn boxed_policies_clone_and_describe_themselves() {
-        let b: Box<dyn PlacementPolicy> = Box::new(GreedyLoadDelta::default());
-        let c = b.clone();
-        assert_eq!(c.name(), "greedy-load-delta");
-        assert_eq!(format!("{b:?}"), "PlacementPolicy(greedy-load-delta)");
     }
 }

@@ -363,7 +363,7 @@ fn rebalancer_sheds_tablets_from_a_hot_server() {
     cfg.rebalancer = Some(RebalancerConfig {
         interval: 20 * MILLISECOND,
         caps: AdmissionCaps::default(),
-        policy: Box::new(GreedyLoadDelta::new(0.08, 2).with_cooldown(200 * MILLISECOND)),
+        policy: GreedyLoadDelta::new(0.08, 2).with_cooldown(200 * MILLISECOND),
     });
     let mut b = ClusterBuilder::new(cfg);
     let dir = b.directory();

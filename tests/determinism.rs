@@ -8,7 +8,7 @@
 mod common;
 
 use common::{builder, standard_setup, upper, TABLE};
-use rocksteady_cluster::ControlCmd;
+use rocksteady_cluster::{ClusterBuilder, ClusterConfig, ControlCmd, FlightRecorderConfig};
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
 use rocksteady_simnet::SchedulerKind;
 use rocksteady_workload::YcsbConfig;
@@ -217,4 +217,26 @@ fn different_seeds_different_traces() {
     let a = digest(1);
     let b = digest(2);
     assert_ne!(a.0, b.0, "event counts identical across seeds: {a:?}");
+}
+
+/// With nothing to serve, a cluster's only events are its monitoring
+/// ticks: one timer event per sampling interval, and arming metrics
+/// capture, the SLA and the flight recorder adds none.
+#[test]
+fn idle_cluster_takes_one_cadence_event_per_sampling_interval() {
+    let idle = ClusterConfig {
+        sample_interval: MILLISECOND,
+        ..ClusterConfig::default()
+    };
+    let armed = ClusterConfig {
+        metrics: true,
+        sla: Some(MILLISECOND),
+        flight_recorder: Some(FlightRecorderConfig::default()),
+        ..idle.clone()
+    };
+    for cfg in [idle, armed] {
+        let mut cluster = ClusterBuilder::new(cfg).build();
+        cluster.run_until(100 * MILLISECOND);
+        assert_eq!(cluster.sim.events_processed(), 100);
+    }
 }
