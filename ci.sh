@@ -6,7 +6,7 @@
 #   1. cargo fmt --check      — formatting is canonical
 #   2. cargo clippy -D warnings (all targets) — lint-clean
 #   3. tier-1 verify (ROADMAP.md): release build + test suite
-#   4. examples smoke: quickstart (+ exported trace JSON), crash_recovery
+#   4. examples smoke: quickstart (every JSON export must parse), crash_recovery
 #   5. bench smoke: simkernel throughput JSON + micro industry CSV
 #   6. allocation gate: gather/replay + traced RPC + bulk load (migration hot
 #      path stays sub-per-record; recording a traced RPC allocates nothing,
@@ -38,6 +38,14 @@ rm -f target/quickstart-trace.json target/quickstart-metrics.json target/quickst
     target/quickstart-profile.folded target/quickstart-critical-path.json \
     target/quickstart-audit.json target/quickstart-audit.dot target/quickstart-journeys.json
 cargo run --release --example quickstart
+
+echo "==> quickstart JSON exports parse as JSON"
+python3 - <<'EOF'
+import json
+for name in ('trace', 'metrics', 'audit', 'critical-path', 'journeys'):
+    json.load(open(f'target/quickstart-{name}.json'))
+print('trace, metrics, audit, critical-path and journeys exports parse')
+EOF
 
 echo "==> trace smoke: target/quickstart-trace.json"
 test -s target/quickstart-trace.json
@@ -123,6 +131,7 @@ grep -q '"trace":{"window_ns":' target/quickstart-incident.json
 grep -q '"traceEvents":\[{' target/quickstart-incident.json
 grep -q '"dropped":' target/quickstart-incident.json
 grep -q '"audit":{"dropped":' target/quickstart-incident.json
+python3 -c "import json; json.load(open('target/quickstart-incident.json'))"
 
 echo "==> examples: crash_recovery"
 cargo run --release --example crash_recovery

@@ -49,6 +49,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use rocksteady_common::json::{Arr, Obj};
 use rocksteady_common::{HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId};
 use rocksteady_metrics::{Counter, Registry};
 
@@ -556,6 +557,28 @@ impl MigTrack {
         push(self.commit_seq);
         push(self.drop_seq);
         out
+    }
+
+    fn outcome_label(&self) -> &'static str {
+        match self.outcome {
+            1 => "committed",
+            2 => "abandoned",
+            _ => "in-flight",
+        }
+    }
+
+    fn origin(&self) -> &'static str {
+        if self.rebalance_seq.is_some() {
+            "rebalancer"
+        } else {
+            "scripted"
+        }
+    }
+
+    /// Records received by replay but not applied (a newer version was
+    /// already present).
+    fn superseded(&self) -> u64 {
+        self.replay_received.saturating_sub(self.replay_applied)
     }
 }
 
@@ -1284,144 +1307,100 @@ impl AuditSink {
     /// byte-identical across same-seed runs). `now` closes open timeline
     /// segments.
     pub fn export_json(&self, now: Nanos) -> String {
+        let mut out = String::with_capacity(4096);
+        let mut o = Obj::open(&mut out);
+        o.str("schema", "rocksteady-audit-v1");
         let Some(core) = &self.0 else {
-            return String::from("{\"schema\":\"rocksteady-audit-v1\",\"armed\":0}");
+            o.flag("armed", false);
+            drop(o);
+            return out;
         };
         let core = core.borrow();
         let a = &core.auditor;
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"rocksteady-audit-v1\",\"armed\":1,\"now\":");
-        out.push_str(&now.to_string());
+        o.flag("armed", true).u64("now", now);
         let rep = self.report_inner(&core);
-        out.push_str(",\"summary\":{\"events\":");
-        out.push_str(&rep.events.to_string());
-        out.push_str(",\"migrations_tracked\":");
-        out.push_str(&rep.migrations_tracked.to_string());
-        out.push_str(",\"migrations_verified\":");
-        out.push_str(&rep.migrations_verified.to_string());
-        out.push_str(",\"migrations_abandoned\":");
-        out.push_str(&rep.migrations_abandoned.to_string());
-        out.push_str(",\"violations\":");
-        out.push_str(&rep.violations.to_string());
-        out.push_str(",\"dropped\":");
-        out.push_str(&core.dropped.to_string());
-        out.push_str("},\"invariants\":[");
-        for (i, (name, checked, violated)) in rep.per_invariant.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(name);
-            out.push_str("\",\"checked\":");
-            out.push_str(&checked.to_string());
-            out.push_str(",\"violations\":");
-            out.push_str(&violated.to_string());
-            out.push('}');
+        o.obj("summary")
+            .u64("events", rep.events)
+            .u64("migrations_tracked", rep.migrations_tracked)
+            .u64("migrations_verified", rep.migrations_verified)
+            .u64("migrations_abandoned", rep.migrations_abandoned)
+            .u64("violations", rep.violations)
+            .u64("dropped", core.dropped);
+        let mut invariants = o.arr("invariants");
+        for (name, checked, violated) in &rep.per_invariant {
+            invariants
+                .obj()
+                .str("name", name)
+                .u64("checked", *checked)
+                .u64("violations", *violated);
         }
-        out.push_str("],\"migrations\":[");
+        drop(invariants);
+        let mut migrations = o.arr("migrations");
         let mut ids: Vec<u64> = a.migs.keys().copied().collect();
         ids.sort_unstable();
-        for (i, id) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let m = &a.migs[id];
-            out.push_str("{\"id\":");
-            out.push_str(&id.to_string());
-            out.push_str(",\"table\":");
-            out.push_str(&m.table.0.to_string());
-            out.push_str(",\"start\":");
-            out.push_str(&m.range.start.to_string());
-            out.push_str(",\"end\":");
-            out.push_str(&m.range.end.to_string());
-            out.push_str(",\"source\":");
-            out.push_str(&m.source.0.to_string());
-            out.push_str(",\"target\":");
-            out.push_str(&m.target.0.to_string());
-            out.push_str(",\"admitted_at\":");
-            out.push_str(&m.admitted_at.to_string());
-            out.push_str(",\"ended_at\":");
-            out.push_str(&m.ended_at.unwrap_or(0).to_string());
-            out.push_str(",\"outcome\":\"");
-            out.push_str(match m.outcome {
-                1 => "committed",
-                2 => "abandoned",
-                _ => "in-flight",
-            });
-            out.push_str("\",\"origin\":\"");
-            out.push_str(if m.rebalance_seq.is_some() {
-                "rebalancer"
-            } else {
-                "scripted"
-            });
-            out.push_str("\",\"gathered\":");
-            out.push_str(&(m.gathered_bulk + m.gathered_prio).to_string());
-            out.push_str(",\"replay_received\":");
-            out.push_str(&m.replay_received.to_string());
-            out.push_str(",\"replay_applied\":");
-            out.push_str(&m.replay_applied.to_string());
-            out.push_str(",\"superseded\":");
-            out.push_str(
-                &m.replay_received
-                    .saturating_sub(m.replay_applied)
-                    .to_string(),
-            );
-            out.push_str(",\"verified\":");
-            out.push_str(if m.verified { "1" } else { "0" });
-            out.push('}');
+        for id in ids {
+            let m = &a.migs[&id];
+            migrations
+                .obj()
+                .u64("id", id)
+                .u64("table", m.table.0)
+                .u64("start", m.range.start)
+                .u64("end", m.range.end)
+                .u64("source", m.source.0.into())
+                .u64("target", m.target.0.into())
+                .u64("admitted_at", m.admitted_at)
+                .u64("ended_at", m.ended_at.unwrap_or(0))
+                .str("outcome", m.outcome_label())
+                .str("origin", m.origin())
+                .u64("gathered", m.gathered_bulk + m.gathered_prio)
+                .u64("replay_received", m.replay_received)
+                .u64("replay_applied", m.replay_applied)
+                .u64("superseded", m.superseded())
+                .flag("verified", m.verified);
         }
-        out.push_str("],\"timeline\":[");
+        drop(migrations);
+        let mut timeline = o.arr("timeline");
         let mut order: Vec<usize> = (0..a.tablets.len()).collect();
         order.sort_by_key(|i| {
             let t = &a.tablets[*i];
             (t.table.0, t.range.start, t.opened, t.range.end)
         });
-        for (i, idx) in order.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let t = &a.tablets[*idx];
-            out.push_str("{\"table\":");
-            out.push_str(&t.table.0.to_string());
-            out.push_str(",\"start\":");
-            out.push_str(&t.range.start.to_string());
-            out.push_str(",\"end\":");
-            out.push_str(&t.range.end.to_string());
-            out.push_str(",\"opened\":");
-            out.push_str(&t.opened.to_string());
-            out.push_str(",\"closed\":");
-            out.push_str(&t.closed.unwrap_or(now).to_string());
-            out.push_str(",\"segments\":[");
+        for idx in order {
+            let t = &a.tablets[idx];
+            let mut tj = timeline.obj();
+            tj.u64("table", t.table.0)
+                .u64("start", t.range.start)
+                .u64("end", t.range.end)
+                .u64("opened", t.opened)
+                .u64("closed", t.closed.unwrap_or(now));
+            let mut segments = tj.arr("segments");
             for (j, s) in t.segments.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
                 let until = t
                     .segments
                     .get(j + 1)
                     .map(|n| n.from)
                     .or(t.closed)
                     .unwrap_or(now);
-                out.push_str("{\"from\":");
-                out.push_str(&s.from.to_string());
-                out.push_str(",\"to\":");
-                out.push_str(&until.to_string());
-                out.push_str(",\"owner\":");
-                out.push_str(&s.owner.0.to_string());
-                out.push_str(",\"state\":\"");
-                out.push_str(s.state);
-                out.push_str("\"}");
+                segments
+                    .obj()
+                    .u64("from", s.from)
+                    .u64("to", until)
+                    .u64("owner", s.owner.0.into())
+                    .str("state", s.state);
             }
-            out.push_str("]}");
         }
-        out.push_str("],\"violations\":[");
-        for (i, v) in a.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&self.violation_json(&core, v));
+        drop(timeline);
+        let mut violations = o.arr("violations");
+        for v in &a.violations {
+            let mut vj = violations.obj();
+            vj.str("invariant", v.invariant)
+                .u64("at", v.at)
+                .u64("seq", v.seq)
+                .str("detail", &v.detail);
+            push_chain(&core, &v.chain, vj.key("chain"));
         }
-        out.push_str("]}");
+        drop(violations);
+        drop(o);
         out
     }
 
@@ -1451,47 +1430,6 @@ impl AuditSink {
                 .map(|(i, n)| (*n, a.checked[i], a.violated[i]))
                 .collect(),
         }
-    }
-
-    fn chain_json(&self, core: &AuditCore, chain: &[u64]) -> String {
-        let mut out = String::from("[");
-        for (i, seq) in chain.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"seq\":");
-            out.push_str(&seq.to_string());
-            // Seq numbers count total ingested events; the buffer holds
-            // the suffix starting at `dropped` when in ring mode.
-            if let Some(ev) = seq
-                .checked_sub(core.dropped)
-                .and_then(|i| core.events.get(i as usize))
-            {
-                out.push_str(",\"at\":");
-                out.push_str(&ev.at.to_string());
-                out.push_str(",\"event\":\"");
-                out.push_str(ev.kind.label());
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
-
-    fn violation_json(&self, core: &AuditCore, v: &Violation) -> String {
-        let mut out = String::from("{\"invariant\":\"");
-        out.push_str(v.invariant);
-        out.push_str("\",\"at\":");
-        out.push_str(&v.at.to_string());
-        out.push_str(",\"seq\":");
-        out.push_str(&v.seq.to_string());
-        out.push_str(",\"detail\":\"");
-        out.push_str(&v.detail);
-        out.push_str("\",\"chain\":");
-        out.push_str(&self.chain_json(core, &v.chain));
-        out.push('}');
-        out
     }
 
     /// The ownership-transfer history as a DOT digraph: one node per
@@ -1578,47 +1516,25 @@ impl AuditSink {
     pub fn explain_migration(&self, id: MigrationId) -> Option<String> {
         let core = self.0.as_ref()?.borrow();
         let m = core.auditor.migs.get(&id.0)?;
-        let mut out = String::from("{\"kind\":\"migration\",\"id\":");
-        out.push_str(&id.0.to_string());
-        out.push_str(",\"outcome\":\"");
-        out.push_str(match m.outcome {
-            1 => "committed",
-            2 => "abandoned",
-            _ => "in-flight",
-        });
-        out.push_str("\",\"origin\":\"");
-        out.push_str(if m.rebalance_seq.is_some() {
-            "rebalancer"
-        } else {
-            "scripted"
-        });
-        out.push_str("\",\"verified\":");
-        out.push_str(if m.verified { "1" } else { "0" });
-        out.push_str(",\"source\":");
-        out.push_str(&m.source.0.to_string());
-        out.push_str(",\"target\":");
-        out.push_str(&m.target.0.to_string());
-        out.push_str(",\"chain\":");
-        out.push_str(&self.chain_json(&core, &m.chain()));
-        out.push_str(",\"pressure\":{\"pulls\":");
-        out.push_str(&m.pulls.to_string());
-        out.push_str(",\"pull_records\":");
-        out.push_str(&m.gathered_bulk.to_string());
-        out.push_str(",\"priority_pulls\":");
-        out.push_str(&m.priority_pulls.to_string());
-        out.push_str(",\"priority_records\":");
-        out.push_str(&m.gathered_prio.to_string());
-        out.push_str(",\"replay_batches\":");
-        out.push_str(&m.replay_batches.to_string());
-        out.push_str(",\"replay_applied\":");
-        out.push_str(&m.replay_applied.to_string());
-        out.push_str(",\"superseded\":");
-        out.push_str(
-            &m.replay_received
-                .saturating_sub(m.replay_applied)
-                .to_string(),
-        );
-        out.push_str("}}");
+        let mut out = String::new();
+        let mut o = Obj::open(&mut out);
+        o.str("kind", "migration")
+            .u64("id", id.0)
+            .str("outcome", m.outcome_label())
+            .str("origin", m.origin())
+            .flag("verified", m.verified)
+            .u64("source", m.source.0.into())
+            .u64("target", m.target.0.into());
+        push_chain(&core, &m.chain(), o.key("chain"));
+        o.obj("pressure")
+            .u64("pulls", m.pulls)
+            .u64("pull_records", m.gathered_bulk)
+            .u64("priority_pulls", m.priority_pulls)
+            .u64("priority_records", m.gathered_prio)
+            .u64("replay_batches", m.replay_batches)
+            .u64("replay_applied", m.replay_applied)
+            .u64("superseded", m.superseded());
+        drop(o);
         Some(out)
     }
 
@@ -1631,8 +1547,9 @@ impl AuditSink {
     pub fn explain_slo_breach(&self, from: Nanos, to: Nanos) -> Option<String> {
         let core = self.0.as_ref()?.borrow();
         let a = &core.auditor;
-        // (score desc, seq asc) ranking; all integer math.
-        let mut causes: Vec<(u64, u64, String)> = Vec::new();
+        // (score, seq, cause), ranked by score desc then seq asc; all
+        // integer math.
+        let mut causes: Vec<(u64, u64, Cause)> = Vec::new();
         let mut ids: Vec<u64> = a.migs.keys().copied().collect();
         ids.sort_unstable();
         for id in ids {
@@ -1659,24 +1576,12 @@ impl AuditSink {
             }
             // Replay pressure dominates; overlap breaks ties in µs.
             let score = replayed_in_window * 1_000 + overlap / 1_000;
-            let mut j = String::from("{\"cause\":\"migration\",\"id\":");
-            j.push_str(&id.to_string());
-            j.push_str(",\"origin\":\"");
-            j.push_str(if m.rebalance_seq.is_some() {
-                "rebalancer"
-            } else {
-                "scripted"
-            });
-            j.push_str("\",\"overlap_ns\":");
-            j.push_str(&overlap.to_string());
-            j.push_str(",\"replayed_in_window\":");
-            j.push_str(&replayed_in_window.to_string());
-            j.push_str(",\"score\":");
-            j.push_str(&score.to_string());
-            j.push_str(",\"chain\":");
-            j.push_str(&self.chain_json(&core, &m.chain()));
-            j.push('}');
-            causes.push((score, m.admitted_seq, j));
+            let cause = Cause::Migration {
+                id,
+                overlap,
+                replayed_in_window,
+            };
+            causes.push((score, m.admitted_seq, cause));
         }
         for ev in &core.events {
             if let AuditKind::ServerCrashed { server } = ev.kind {
@@ -1684,17 +1589,12 @@ impl AuditSink {
                 // any migration-pressure explanation.
                 let margin = to.saturating_sub(from);
                 if ev.at >= from.saturating_sub(margin) && ev.at <= to {
-                    let score = u64::MAX / 2;
-                    let mut j = String::from("{\"cause\":\"crash\",\"server\":");
-                    j.push_str(&server.0.to_string());
-                    j.push_str(",\"at\":");
-                    j.push_str(&ev.at.to_string());
-                    j.push_str(",\"score\":");
-                    j.push_str(&score.to_string());
-                    j.push_str(",\"chain\":");
-                    j.push_str(&self.chain_json(&core, &[ev.seq]));
-                    j.push('}');
-                    causes.push((score, ev.seq, j));
+                    let cause = Cause::Crash {
+                        server,
+                        at: ev.at,
+                        seq: ev.seq,
+                    };
+                    causes.push((u64::MAX / 2, ev.seq, cause));
                 }
             }
         }
@@ -1702,22 +1602,71 @@ impl AuditSink {
             return None;
         }
         causes.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
-        let mut out = String::from("{\"kind\":\"slo-breach\",\"from\":");
-        out.push_str(&from.to_string());
-        out.push_str(",\"to\":");
-        out.push_str(&to.to_string());
-        out.push_str(",\"causes\":[");
-        for (i, (_, _, j)) in causes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rank\":");
-            out.push_str(&(i + 1).to_string());
-            out.push(',');
-            out.push_str(&j[1..]);
+        let mut out = String::new();
+        let mut o = Obj::open(&mut out);
+        o.str("kind", "slo-breach").u64("from", from).u64("to", to);
+        let mut ranked = o.arr("causes");
+        for (rank, (score, _, cause)) in (1..).zip(&causes) {
+            let mut c = ranked.obj();
+            c.u64("rank", rank);
+            let chain = match *cause {
+                Cause::Migration {
+                    id,
+                    overlap,
+                    replayed_in_window,
+                } => {
+                    let m = &a.migs[&id];
+                    c.str("cause", "migration")
+                        .u64("id", id)
+                        .str("origin", m.origin())
+                        .u64("overlap_ns", overlap)
+                        .u64("replayed_in_window", replayed_in_window);
+                    m.chain()
+                }
+                Cause::Crash { server, at, seq } => {
+                    c.str("cause", "crash")
+                        .u64("server", server.0.into())
+                        .u64("at", at);
+                    vec![seq]
+                }
+            };
+            c.u64("score", *score);
+            push_chain(&core, &chain, c.key("chain"));
         }
-        out.push_str("]}");
+        drop(ranked);
+        drop(o);
         Some(out)
+    }
+}
+
+/// One suspect of [`AuditSink::explain_slo_breach`].
+enum Cause {
+    Migration {
+        id: u64,
+        overlap: Nanos,
+        replayed_in_window: u64,
+    },
+    Crash {
+        server: ServerId,
+        at: Nanos,
+        seq: u64,
+    },
+}
+
+/// Writes a causal chain of event seqs. Seq numbers count every
+/// ingested event; in ring mode the buffer holds only the suffix from
+/// `dropped`, so a dropped entry keeps its seq but has no `at`/`event`.
+fn push_chain(core: &AuditCore, chain: &[u64], out: &mut String) {
+    let mut arr = Arr::open(out);
+    for &seq in chain {
+        let mut entry = arr.obj();
+        entry.u64("seq", seq);
+        if let Some(ev) = seq
+            .checked_sub(core.dropped)
+            .and_then(|i| core.events.get(i as usize))
+        {
+            entry.u64("at", ev.at).str("event", ev.kind.label());
+        }
     }
 }
 
@@ -1953,6 +1902,64 @@ mod tests {
             so.chain.len() >= 2,
             "causal chain too short: {:?}",
             so.chain
+        );
+    }
+
+    /// Whole-document golden for a ring-mode export with one violation
+    /// whose causal chain reaches back past the ring: the dropped entry
+    /// keeps its seq but loses `at` and `event`.
+    #[test]
+    fn ring_mode_violation_export_golden() {
+        let sink = AuditSink::with_capacity(2);
+        sink.emit(
+            0,
+            AuditKind::TabletCreated {
+                table: T,
+                range: FULL,
+                owner: S0,
+            },
+        );
+        sink.emit(
+            10,
+            AuditKind::MigrationAdmitted {
+                id: M,
+                table: T,
+                range: FULL,
+                source: S0,
+                target: S1,
+            },
+        );
+        sink.emit(
+            60,
+            AuditKind::MigrationFinished {
+                id: M,
+                target: S1,
+                pull_records: 0,
+                priority_records: 0,
+            },
+        );
+        // A fourth event compacts the ring past the admission (seq 1).
+        sink.emit(70, AuditKind::MigrationRejected { id: MigrationId(8) });
+        assert_eq!(sink.violations().len(), 1);
+        assert_eq!(
+            sink.export_json(100),
+            "{\"schema\":\"rocksteady-audit-v1\",\"armed\":1,\"now\":100,\
+            \"summary\":{\"events\":4,\"migrations_tracked\":1,\"migrations_verified\":1,\
+            \"migrations_abandoned\":0,\"violations\":1,\"dropped\":2},\"invariants\":[{\"name\":\"single-owner\",\
+            \"checked\":2,\"violations\":1},{\"name\":\"version-floor\",\
+            \"checked\":0,\"violations\":0},{\"name\":\"conservation\",\"checked\":1,\
+            \"violations\":0},{\"name\":\"lineage\",\"checked\":0,\"violations\":0},\
+            {\"name\":\"read-your-writes\",\"checked\":0,\"violations\":0}],\
+            \"migrations\":[{\"id\":7,\"table\":1,\"start\":0,\"end\":18446744073709551615,\
+            \"source\":0,\"target\":1,\"admitted_at\":10,\"ended_at\":60,\
+            \"outcome\":\"committed\",\"origin\":\"scripted\",\"gathered\":0,\
+            \"replay_received\":0,\"replay_applied\":0,\"superseded\":0,\
+            \"verified\":1}],\"timeline\":[{\"table\":1,\"start\":0,\"end\":18446744073709551615,\
+            \"opened\":0,\"closed\":100,\"segments\":[{\"from\":0,\"to\":100,\
+            \"owner\":0,\"state\":\"normal\"}]}],\"violations\":[{\"invariant\":\"single-owner\",\
+            \"at\":60,\"seq\":2,\"detail\":\"migration 7 committed while source 0 never released table 1 range [0x0, 0xffffffffffffffff]: dual-serving window still open\",\
+            \"chain\":[{\"seq\":1},{\"seq\":2,\"at\":60,\"event\":\"migration-finished\"},\
+            {\"seq\":1},{\"seq\":2,\"at\":60,\"event\":\"migration-finished\"}]}]}"
         );
     }
 

@@ -23,7 +23,7 @@
 //!   are preserved; absolute latencies are ~2–3× the paper's.
 
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig};
-use rocksteady_common::time::{fmt_nanos, mb_per_sec};
+use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::{CostModel, HashRange, Nanos, ServerId, TableId, MILLISECOND};
 use rocksteady_metrics::timeline;
 
@@ -111,28 +111,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Extracts the migration-rate series (interval start, MB/s of record
-/// bytes arriving at `target`) between `from` and `to`.
-pub fn migration_rate_series(
-    cluster: &Cluster,
-    target: ServerId,
-    from: Nanos,
-    to: Nanos,
-) -> Vec<(Nanos, f64)> {
-    let util = cluster.util.borrow();
-    let interval = util.interval.max(1);
-    util.by_server
-        .get(&target)
-        .map(|points| {
-            points
-                .iter()
-                .filter(|p| p.at >= from && p.at < to)
-                .map(|p| (p.at, mb_per_sec(p.bytes_in, interval)))
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 /// Builds a `ClusterBuilder` and hands it to `f` for customization —

@@ -7,6 +7,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use rocksteady::MigrationConfig;
 use rocksteady_audit::{AuditKind, AuditReport, AuditSink};
+use rocksteady_common::json::Arr;
 use rocksteady_common::zipf::{KeyDist, KeySampler};
 use rocksteady_common::{
     key_hash, CostModel, HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId, SECOND,
@@ -731,15 +732,12 @@ impl Cluster {
     /// The periodic snapshot series captured under `metrics: true`, as
     /// one JSON array (one element per sampling interval).
     pub fn export_metrics_series_json(&self) -> String {
-        let snaps = self.snapshots.borrow();
-        let mut out = String::from("[");
-        for (i, s) in snaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
+        let mut out = String::new();
+        let mut arr = Arr::open(&mut out);
+        for s in self.snapshots.borrow().iter() {
+            s.push_json(arr.item());
         }
-        out.push(']');
+        drop(arr);
         out
     }
 
@@ -773,11 +771,6 @@ impl Cluster {
     /// migration completed. Byte-identical across same-seed runs.
     pub fn critical_path_report(&self) -> Option<CriticalPathReport> {
         self.trace.with_events(critical_path)
-    }
-
-    /// [`Cluster::critical_path_report`] as deterministic JSON.
-    pub fn export_critical_path_json(&self) -> Option<String> {
-        self.critical_path_report().map(|r| r.to_json())
     }
 
     /// Post-hoc companion to the live SLO monitor: aggregates the

@@ -10,10 +10,10 @@
 //! runs export byte-identical bundles.
 
 use rocksteady_audit::AuditSink;
-use rocksteady_common::json::push_u64;
+use rocksteady_common::json::{push_u64, Arr, Obj};
 use rocksteady_common::Nanos;
-use rocksteady_flightrec::{push_escaped, DetectorReading, FlightRecorderConfig};
-use rocksteady_metrics::{deltas_to_json, CounterDelta};
+use rocksteady_flightrec::{DetectorReading, FlightRecorderConfig};
+use rocksteady_metrics::{push_deltas_json, CounterDelta};
 use rocksteady_profiler::{core_label, Activity, Profiler};
 use rocksteady_trace::{journey, Tracer};
 
@@ -61,126 +61,93 @@ pub struct BundleInputs<'a> {
 /// integer values, fixed key order.
 pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> String {
     let mut out = String::with_capacity(8192);
-    out.push_str("{\"schema\":\"");
-    out.push_str(INCIDENT_SCHEMA);
-    out.push_str("\",\"at\":");
-    push_u64(&mut out, inp.at);
-    out.push_str(",\"trigger\":\"");
-    out.push_str(inp.trigger);
-    out.push_str("\",\"readings\":[");
-    for (i, r) in inp.readings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&r.to_json());
+    let mut o = Obj::open(&mut out);
+    o.str("schema", INCIDENT_SCHEMA)
+        .u64("at", inp.at)
+        .str("trigger", inp.trigger);
+    let mut readings = o.arr("readings");
+    for r in inp.readings {
+        r.push_json(readings.item());
     }
-    out.push_str("],\"burn\":{\"fast_permille\":");
-    push_u64(&mut out, inp.burn.0);
-    out.push_str(",\"slow_permille\":");
-    push_u64(&mut out, inp.burn.1);
-    out.push('}');
+    drop(readings);
+    o.obj("burn")
+        .u64("fast_permille", inp.burn.0)
+        .u64("slow_permille", inp.burn.1);
 
     // Trace slice: the last `bundle_trace_window_ns` of completed
     // events, plus ring drop accounting.
     let since = inp.at.saturating_sub(cfg.bundle_trace_window_ns);
-    out.push_str(",\"trace\":{\"window_ns\":");
-    push_u64(&mut out, cfg.bundle_trace_window_ns);
-    out.push_str(",\"dropped\":");
-    push_u64(&mut out, inp.trace.dropped());
-    out.push_str(",\"chrome\":");
-    out.push_str(&inp.trace.export_chrome_json_since(since));
-    out.push('}');
+    let mut trace = o.obj("trace");
+    trace
+        .u64("window_ns", cfg.bundle_trace_window_ns)
+        .u64("dropped", inp.trace.dropped());
+    inp.trace.push_chrome_json_since(since, trace.key("chrome"));
+    drop(trace);
 
     // Metrics: the watchdog's own per-interval delta scrape.
-    out.push_str(",\"metrics\":");
-    out.push_str(&deltas_to_json(inp.metrics));
+    push_deltas_json(o.key("metrics"), inp.metrics);
 
     // Profiler ledger slice: per-core cumulative activity buckets.
-    out.push_str(",\"profiler\":[");
-    for (i, core) in inp.profiler.cores().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut profiler = o.arr("profiler");
+    for core in inp.profiler.cores() {
+        let mut c = profiler.obj();
+        c.u64("server", core.server.into())
+            .str("core", &core_label(core.core))
+            .u64("wall", core.wall)
+            .u64("overcommit_ns", core.overcommit_ns);
+        let mut buckets = c.obj("buckets");
+        for (act, ns) in Activity::ALL.iter().zip(core.buckets) {
+            buckets.u64(act.label(), ns);
         }
-        out.push_str("{\"server\":");
-        push_u64(&mut out, u64::from(core.server));
-        out.push_str(",\"core\":\"");
-        out.push_str(&core_label(core.core));
-        out.push_str("\",\"wall\":");
-        push_u64(&mut out, core.wall);
-        out.push_str(",\"overcommit_ns\":");
-        push_u64(&mut out, core.overcommit_ns);
-        out.push_str(",\"buckets\":{");
-        for (j, act) in Activity::ALL.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(act.label());
-            out.push_str("\":");
-            push_u64(&mut out, core.buckets[j]);
-        }
-        out.push_str("}}");
     }
-    out.push(']');
+    drop(profiler);
 
     // Audit tail: the trailing events of the (possibly ring-bounded)
     // audit stream.
-    out.push_str(",\"audit\":{\"dropped\":");
-    push_u64(&mut out, inp.audit.dropped());
-    out.push_str(",\"tail\":[");
+    let mut audit = o.obj("audit");
+    audit.u64("dropped", inp.audit.dropped());
+    let mut tail = audit.arr("tail");
     inp.audit.with_events(|events| {
         let start = events.len().saturating_sub(cfg.audit_tail_events);
-        for (i, ev) in events[start..].iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"seq\":");
-            push_u64(&mut out, ev.seq);
-            out.push_str(",\"at\":");
-            push_u64(&mut out, ev.at);
-            out.push_str(",\"event\":\"");
-            out.push_str(ev.kind.label());
-            out.push_str("\"}");
+        for ev in &events[start..] {
+            tail.obj()
+                .u64("seq", ev.seq)
+                .u64("at", ev.at)
+                .str("event", ev.kind.label());
         }
     });
-    out.push_str("]}");
+    drop(tail);
+    drop(audit);
 
     // The trigger window's slowest request journeys: the cross-node
     // causal chains of the requests this incident actually hurt. The
     // trace ring is completion-ordered, so the window is a suffix.
-    out.push_str(",\"journeys\":");
     let all = inp
         .trace
         .with_events(|events| journey::reconstruct(events.since(since)));
-    out.push_str(&journey::export_json(
+    journey::push_export_json(
+        o.key("journeys"),
         journey::slowest(&all, cfg.bundle_journeys),
         inp.trace.dropped(),
-    ));
+    );
 
     // Causal explain, when the audit layer could produce one. The
     // explain output is itself JSON; embed verbatim.
-    match &inp.explain {
-        Some(e) => {
-            out.push_str(",\"explain\":");
-            out.push_str(e);
-        }
-        None => out.push_str(",\"explain\":null"),
-    }
-    out.push('}');
+    o.key("explain")
+        .push_str(inp.explain.as_deref().unwrap_or("null"));
+    drop(o);
     out
 }
 
 /// Renders the incident log as a JSON array of bundles (empty array
 /// when nothing fired).
 pub fn incidents_to_json(incidents: &[Incident]) -> String {
-    let mut out = String::from("[");
-    for (i, inc) in incidents.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&inc.bundle);
+    let mut out = String::new();
+    let mut arr = Arr::open(&mut out);
+    for inc in incidents {
+        arr.item().push_str(&inc.bundle);
     }
-    out.push(']');
+    drop(arr);
     out
 }
 
@@ -191,6 +158,6 @@ pub fn summarize(inc: &Incident) -> String {
     out.push_str("incident at ");
     push_u64(&mut out, inc.at);
     out.push_str("ns: ");
-    push_escaped(&mut out, inc.trigger);
+    out.push_str(inc.trigger);
     out
 }

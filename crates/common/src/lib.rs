@@ -16,8 +16,10 @@
 //! - Measurement primitives: a log-bucketed latency [`hist::Histogram`]
 //!   (sufficient resolution for 99.9th-percentile queries) and the
 //!   [`hist::TimeSeries`] recorder behind the paper's timeline figures.
-//! - Allocation-free integer writers ([`json::push_u64`], [`json::push_us`])
-//!   shared by the hand-rolled JSON exporters.
+//! - The one JSON writer ([`json::Obj`], [`json::Arr`] and the
+//!   allocation-free integer writers): every deterministic export is
+//!   written through it, and no other module places a separator, a
+//!   quote or an escape.
 
 pub mod cost;
 pub mod fxmap;

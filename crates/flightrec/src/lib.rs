@@ -37,6 +37,7 @@
 
 use std::collections::BTreeMap;
 
+use rocksteady_common::json::Obj;
 use rocksteady_common::{Nanos, SECOND};
 
 // ------------------------------------------------------------ config --
@@ -293,33 +294,21 @@ impl DetectorReading {
     /// Deterministic JSON (`{"name":...,"value":...,"threshold":...,
     /// "detail":...}`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"name\":\"");
-        out.push_str(self.detector);
-        out.push_str("\",\"value\":");
-        out.push_str(&self.value.to_string());
-        out.push_str(",\"threshold\":");
-        out.push_str(&self.threshold.to_string());
-        if let Some(id) = self.subject {
-            out.push_str(",\"subject\":");
-            out.push_str(&id.to_string());
-        }
-        out.push_str(",\"detail\":\"");
-        push_escaped(&mut out, &self.detail);
-        out.push_str("\"}");
+        let mut out = String::new();
+        self.push_json(&mut out);
         out
     }
-}
 
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
-/// and control characters; details are ASCII by construction).
-pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    /// Appends [`DetectorReading::to_json`]'s document to `out`.
+    pub fn push_json(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        o.str("name", self.detector)
+            .u64("value", self.value)
+            .u64("threshold", self.threshold);
+        if let Some(id) = self.subject {
+            o.u64("subject", id);
         }
+        o.str("detail", &self.detail);
     }
 }
 
@@ -886,6 +875,22 @@ mod tests {
             r.to_json(),
             "{\"name\":\"slo-burn\",\"value\":1,\"threshold\":2,\
              \"detail\":\"a \\\"quoted\\\" \\\\ line\"}"
+        );
+    }
+
+    #[test]
+    fn reading_json_golden_with_subject_and_control_characters() {
+        let r = DetectorReading {
+            detector: "migration-stall",
+            value: 12,
+            threshold: 3,
+            subject: Some(7),
+            detail: "say \"hi\"\\path\nnext\tend\u{1}".into(),
+        };
+        assert_eq!(
+            r.to_json(),
+            "{\"name\":\"migration-stall\",\"value\":12,\"threshold\":3,\"subject\":7,\
+            \"detail\":\"say \\\"hi\\\"\\\\path\\u000anext\\u0009end\\u0001\"}"
         );
     }
 }

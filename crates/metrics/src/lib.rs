@@ -38,6 +38,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use rocksteady_common::json::{push_i64, push_u64, Arr, Obj};
 use rocksteady_common::{Histogram, Nanos};
 
 pub mod timeline;
@@ -574,61 +575,33 @@ impl Snapshot {
     /// contract as the trace layer's chrome JSON).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.rows.len() * 96);
-        out.push_str("{\"at\":");
-        out.push_str(&self.at.to_string());
-        out.push_str(",\"metrics\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(row.name);
-            out.push('"');
-            if !row.labels.is_empty() {
-                out.push_str(",\"labels\":{");
-                for (j, (k, v)) in row.labels.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(k);
-                    out.push_str("\":\"");
-                    out.push_str(v);
-                    out.push('"');
-                }
-                out.push('}');
-            }
-            match &row.value {
-                SampleValue::Counter(v) => {
-                    out.push_str(",\"type\":\"counter\",\"value\":");
-                    out.push_str(&v.to_string());
-                }
-                SampleValue::Gauge(v) => {
-                    out.push_str(",\"type\":\"gauge\",\"value\":");
-                    out.push_str(&v.to_string());
-                }
-                SampleValue::Histogram(s) => {
-                    out.push_str(",\"type\":\"histogram\"");
-                    for (k, v) in [
-                        ("count", s.count),
-                        ("sum", s.sum),
-                        ("min", s.min),
-                        ("max", s.max),
-                        ("p50", s.p50),
-                        ("p99", s.p99),
-                        ("p999", s.p999),
-                    ] {
-                        out.push_str(",\"");
-                        out.push_str(k);
-                        out.push_str("\":");
-                        out.push_str(&v.to_string());
-                    }
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
+        self.push_json(&mut out);
         out
+    }
+
+    /// Appends [`Snapshot::to_json`]'s document to `out`.
+    pub fn push_json(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        o.u64("at", self.at);
+        let mut metrics = o.arr("metrics");
+        for row in &self.rows {
+            let mut m = metrics.obj();
+            m.str("name", row.name);
+            push_labels(&mut m, &row.labels);
+            match &row.value {
+                SampleValue::Counter(v) => m.str("type", "counter").u64("value", *v),
+                SampleValue::Gauge(v) => m.str("type", "gauge").i64("value", *v),
+                SampleValue::Histogram(s) => m
+                    .str("type", "histogram")
+                    .u64("count", s.count)
+                    .u64("sum", s.sum)
+                    .u64("min", s.min)
+                    .u64("max", s.max)
+                    .u64("p50", s.p50)
+                    .u64("p99", s.p99)
+                    .u64("p999", s.p999),
+            };
+        }
     }
 
     /// Exports in the Prometheus text exposition format. Histograms
@@ -659,30 +632,27 @@ impl Snapshot {
             let labels = render_labels(&row.labels);
             match &row.value {
                 SampleValue::Counter(v) => {
-                    push_series(&mut out, row.name, &labels, None, &v.to_string());
+                    push_series(&mut out, row.name, "", &labels, None);
+                    push_u64(&mut out, *v);
+                    out.push('\n');
                 }
                 SampleValue::Gauge(v) => {
-                    push_series(&mut out, row.name, &labels, None, &v.to_string());
+                    push_series(&mut out, row.name, "", &labels, None);
+                    push_i64(&mut out, *v);
+                    out.push('\n');
                 }
                 SampleValue::Histogram(s) => {
-                    for (q, v) in [("0.5", s.p50), ("0.99", s.p99), ("0.999", s.p999)] {
-                        let q = format!("quantile=\"{q}\"");
-                        push_series(&mut out, row.name, &labels, Some(&q), &v.to_string());
+                    for (suffix, quantile, v) in [
+                        ("", Some("0.5"), s.p50),
+                        ("", Some("0.99"), s.p99),
+                        ("", Some("0.999"), s.p999),
+                        ("_sum", None, s.sum),
+                        ("_count", None, s.count),
+                    ] {
+                        push_series(&mut out, row.name, suffix, &labels, quantile);
+                        push_u64(&mut out, v);
+                        out.push('\n');
                     }
-                    push_series(
-                        &mut out,
-                        &format!("{}_sum", row.name),
-                        &labels,
-                        None,
-                        &s.sum.to_string(),
-                    );
-                    push_series(
-                        &mut out,
-                        &format!("{}_count", row.name),
-                        &labels,
-                        None,
-                        &s.count.to_string(),
-                    );
                 }
             }
         }
@@ -690,23 +660,36 @@ impl Snapshot {
     }
 }
 
-fn push_series(out: &mut String, name: &str, labels: &str, extra: Option<&str>, value: &str) {
+/// Writes a sample line's `name{labels} ` prefix; the value follows.
+fn push_series(out: &mut String, name: &str, suffix: &str, labels: &str, quantile: Option<&str>) {
     out.push_str(name);
-    let has_labels = !labels.is_empty() || extra.is_some();
-    if has_labels {
+    out.push_str(suffix);
+    if !labels.is_empty() || quantile.is_some() {
         out.push('{');
         out.push_str(labels);
-        if let Some(extra) = extra {
+        if let Some(q) = quantile {
             if !labels.is_empty() {
                 out.push(',');
             }
-            out.push_str(extra);
+            out.push_str("quantile=\"");
+            out.push_str(q);
+            out.push('"');
         }
         out.push('}');
     }
     out.push(' ');
-    out.push_str(value);
-    out.push('\n');
+}
+
+/// Writes `"labels":{...}` in the given order, or nothing when there
+/// are no labels.
+fn push_labels(o: &mut Obj<'_>, labels: &[Label]) {
+    if labels.is_empty() {
+        return;
+    }
+    let mut l = o.obj("labels");
+    for (k, v) in labels {
+        l.str(k, v);
+    }
 }
 
 // ---------------------------------------------------------- delta scraper --
@@ -847,36 +830,19 @@ impl DeltaScraper {
 /// produce byte-identical output.
 pub fn deltas_to_json(deltas: &[CounterDelta]) -> String {
     let mut out = String::with_capacity(32 + deltas.len() * 64);
-    out.push('[');
-    for (i, d) in deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        out.push_str(d.name);
-        out.push('"');
-        if !d.labels.is_empty() {
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in d.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(k);
-                out.push_str("\":\"");
-                out.push_str(v);
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out.push_str(",\"total\":");
-        out.push_str(&d.total.to_string());
-        out.push_str(",\"delta\":");
-        out.push_str(&d.delta.to_string());
-        out.push('}');
-    }
-    out.push(']');
+    push_deltas_json(&mut out, deltas);
     out
+}
+
+/// Appends [`deltas_to_json`]'s array to `out`.
+pub fn push_deltas_json(out: &mut String, deltas: &[CounterDelta]) {
+    let mut arr = Arr::open(out);
+    for d in deltas {
+        let mut o = arr.obj();
+        o.str("name", d.name);
+        push_labels(&mut o, &d.labels);
+        o.u64("total", d.total).u64("delta", d.delta);
+    }
 }
 
 #[cfg(test)]
@@ -993,6 +959,61 @@ mod tests {
         assert!(text.contains("read_ns{quantile=\"0.999\"}"));
         assert!(text.contains("read_ns_count 1\n"));
         assert!(text.contains("read_ns_sum 500\n"));
+    }
+
+    /// Whole-document goldens over every value shape: labels (sorted on
+    /// export), a negative gauge, an unset and a set stamp, a counter
+    /// and a histogram with labels.
+    #[test]
+    fn exports_match_golden_text() {
+        let reg = Registry::new();
+        reg.counter(
+            "ops_total",
+            "operations served",
+            &[("server", "1".into()), ("core", "dispatch".into())],
+        )
+        .add(12);
+        reg.counter("ops_total", "operations served", &[]).add(3);
+        reg.gauge("headroom_ns", "slack to the SLA", &[]).set(-42);
+        reg.stamp("started_at", "migration start", &[]);
+        reg.stamp("ended_at", "migration end", &[("migration", "7".into())])
+            .set(9_000);
+        let h = reg.histogram("read_ns", "read latency", &[("client", "0".into())]);
+        for v in [100, 250, 4_000] {
+            h.record(v);
+        }
+        let snap = reg.snapshot(5_000);
+        assert_eq!(
+            snap.to_json(),
+            "{\"at\":5000,\"metrics\":[{\"name\":\"ended_at\",\"labels\":{\"migration\":\"7\"},\
+            \"type\":\"gauge\",\"value\":9000},{\"name\":\"headroom_ns\",\
+            \"type\":\"gauge\",\"value\":-42},{\"name\":\"ops_total\",\"type\":\"counter\",\
+            \"value\":3},{\"name\":\"ops_total\",\"labels\":{\"core\":\"dispatch\",\
+            \"server\":\"1\"},\"type\":\"counter\",\"value\":12},{\"name\":\"read_ns\",\
+            \"labels\":{\"client\":\"0\"},\"type\":\"histogram\",\"count\":3,\
+            \"sum\":4350,\"min\":100,\"max\":4000,\"p50\":251,\"p99\":4000,\
+            \"p999\":4000},{\"name\":\"started_at\",\"type\":\"gauge\",\"value\":-1}]}"
+        );
+        assert_eq!(
+            snap.to_prometheus(),
+            "# HELP ended_at migration end\n# TYPE ended_at gauge\nended_at{migration=\"7\"} 9000\n\
+            # HELP headroom_ns slack to the SLA\n# TYPE headroom_ns gauge\n\
+            headroom_ns -42\n# HELP ops_total operations served\n# TYPE ops_total counter\n\
+            ops_total 3\nops_total{core=\"dispatch\",server=\"1\"} 12\n# HELP read_ns read latency\n\
+            # TYPE read_ns summary\nread_ns{client=\"0\",quantile=\"0.5\"} 251\n\
+            read_ns{client=\"0\",quantile=\"0.99\"} 4000\nread_ns{client=\"0\",\
+            quantile=\"0.999\"} 4000\nread_ns_sum{client=\"0\"} 4350\nread_ns_count{client=\"0\"} 3\n\
+            # HELP started_at migration start\n# TYPE started_at gauge\n\
+            started_at -1\n"
+        );
+        let mut s = DeltaScraper::new();
+        assert_eq!(
+            deltas_to_json(&s.scrape(&reg)),
+            "[{\"name\":\"ops_total\",\"total\":3,\"delta\":3},{\"name\":\"ops_total\",\
+            \"labels\":{\"core\":\"dispatch\",\"server\":\"1\"},\"total\":12,\
+            \"delta\":12}]"
+        );
+        assert_eq!(deltas_to_json(&[]), "[]");
     }
 
     #[test]

@@ -45,25 +45,6 @@ impl TailBlameReport {
         }
         Some(BLAME_SEGMENTS[best])
     }
-
-    /// Deterministic JSON export: fixed field order, integers only.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"sla_ns\":{},\"total_rpcs\":{},\"slow_rpcs\":{},\"segments\":[",
-            self.sla, self.total_rpcs, self.slow_rpcs
-        );
-        for (i, name) in BLAME_SEGMENTS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"blamed\":{},\"ns\":{}}}",
-                name, self.blame_counts[i], self.segment_ns[i]
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Aggregates the per-RPC decomposition instants in `events` into a
@@ -152,12 +133,6 @@ mod tests {
         assert_eq!(report.blame_counts, [0, 2, 0, 1]);
         assert_eq!(report.segment_ns, [6, 145, 30, 100]);
         assert_eq!(report.dominant(), Some("queue"));
-        let json = report.to_json();
-        assert!(json.contains("\"slow_rpcs\":3"), "{json}");
-        assert!(
-            json.contains("{\"name\":\"queue\",\"blamed\":2,\"ns\":145}"),
-            "{json}"
-        );
     }
 
     #[test]

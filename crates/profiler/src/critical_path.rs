@@ -16,6 +16,7 @@
 //! times. Components therefore partition the migration duration
 //! exactly, and ranking them yields the blocking chain.
 
+use rocksteady_common::json::Obj;
 use rocksteady_common::Nanos;
 use rocksteady_trace::{lanes, Events, Phase};
 
@@ -73,21 +74,22 @@ impl CriticalPathReport {
     /// byte-identical across same-seed runs.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"target_pid\":{},\"started_ns\":{},\"finished_ns\":{},\
-             \"total_ns\":{},\"attributed_ns\":{},\"components\":[",
-            self.target_pid, self.started, self.finished, self.total_ns, self.attributed_ns
-        ));
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ns\":{},\"permille\":{}}}",
-                c.name, c.ns, c.permille
-            ));
+        let mut o = Obj::open(&mut out);
+        o.u64("target_pid", self.target_pid)
+            .u64("started_ns", self.started)
+            .u64("finished_ns", self.finished)
+            .u64("total_ns", self.total_ns)
+            .u64("attributed_ns", self.attributed_ns);
+        let mut components = o.arr("components");
+        for c in &self.components {
+            components
+                .obj()
+                .str("name", c.name)
+                .u64("ns", c.ns)
+                .u64("permille", c.permille);
         }
-        out.push_str("]}");
+        drop(components);
+        drop(o);
         out
     }
 }

@@ -26,7 +26,7 @@
 //! [`export_json`] is byte-identical for the same seed and across the
 //! scheduler swap.
 
-use rocksteady_common::json::push_u64;
+use rocksteady_common::json::{push_u64, Obj};
 use rocksteady_common::{FxHashMap, Nanos};
 
 use crate::{ClientAttempt, Events, RpcInstant};
@@ -173,69 +173,38 @@ impl Journey {
     }
 
     fn push_json(&self, out: &mut String) {
-        let flag = |b: bool| if b { "1" } else { "0" };
-        out.push_str("{\"trace\":");
-        push_u64(out, self.trace);
-        out.push_str(",\"client\":");
-        push_u64(out, self.client);
-        out.push_str(",\"issued\":");
-        push_u64(out, self.issued);
-        out.push_str(",\"completed\":");
-        push_u64(out, self.completed);
-        out.push_str(",\"e2e\":");
-        push_u64(out, self.e2e);
-        out.push_str(",\"attempts\":");
-        push_u64(out, self.attempts);
-        out.push_str(",\"final_status\":");
-        push_u64(out, self.final_status);
-        out.push_str(",\"truncated\":");
-        out.push_str(flag(self.truncated));
-        out.push_str(",\"telescoped\":");
-        out.push_str(flag(self.telescoped));
-        out.push_str(",\"crossed\":");
-        out.push_str(flag(self.crossed_migration()));
-        out.push_str(",\"hops_n\":");
-        push_u64(out, self.hops.len() as u64);
-        out.push_str(",\"chain\":\"");
-        self.push_chain(out);
-        out.push_str("\",\"hops\":[");
-        for (i, hop) in self.hops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"attempt\":");
-            push_u64(out, hop.attempt);
-            out.push_str(",\"server\":");
-            push_u64(out, hop.server);
-            out.push_str(",\"name\":\"");
-            out.push_str(hop.name);
-            out.push_str("\",\"rpc\":");
-            push_u64(out, hop.rpc);
-            out.push_str(",\"depth\":");
-            push_u64(out, hop.depth);
-            out.push_str(",\"sent_at\":");
-            push_u64(out, hop.sent_at);
-            out.push_str(",\"resp_sent\":");
-            push_u64(out, hop.resp_sent);
-            out.push_str(",\"net_in\":");
-            push_u64(out, hop.net_in);
-            out.push_str(",\"queue\":");
-            push_u64(out, hop.queue);
-            out.push_str(",\"service\":");
-            push_u64(out, hop.service);
-            out.push_str(",\"hold\":");
-            push_u64(out, hop.hold);
-            out.push_str(",\"net_out\":");
-            push_u64(out, hop.net_out);
-            out.push_str(",\"gap_before\":");
-            push_u64(out, hop.gap_before);
-            out.push_str(",\"status\":");
-            push_u64(out, hop.status);
-            out.push_str(",\"on_path\":");
-            out.push_str(flag(hop.on_path));
-            out.push('}');
+        let mut o = Obj::open(out);
+        o.u64("trace", self.trace)
+            .u64("client", self.client)
+            .u64("issued", self.issued)
+            .u64("completed", self.completed)
+            .u64("e2e", self.e2e)
+            .u64("attempts", self.attempts)
+            .u64("final_status", self.final_status)
+            .flag("truncated", self.truncated)
+            .flag("telescoped", self.telescoped)
+            .flag("crossed", self.crossed_migration())
+            .u64("hops_n", self.hops.len() as u64)
+            .str_with("chain", |out| self.push_chain(out));
+        let mut hops = o.arr("hops");
+        for hop in &self.hops {
+            hops.obj()
+                .u64("attempt", hop.attempt)
+                .u64("server", hop.server)
+                .str("name", hop.name)
+                .u64("rpc", hop.rpc)
+                .u64("depth", hop.depth)
+                .u64("sent_at", hop.sent_at)
+                .u64("resp_sent", hop.resp_sent)
+                .u64("net_in", hop.net_in)
+                .u64("queue", hop.queue)
+                .u64("service", hop.service)
+                .u64("hold", hop.hold)
+                .u64("net_out", hop.net_out)
+                .u64("gap_before", hop.gap_before)
+                .u64("status", hop.status)
+                .flag("on_path", hop.on_path);
         }
-        out.push_str("]}");
     }
 }
 
@@ -446,19 +415,22 @@ where
     let journeys = journeys.into_iter();
     // A typical journey (one or two hops) exports to about 410 bytes.
     let mut out = String::with_capacity(64 + journeys.len() * 410);
-    out.push_str("{\"schema\":\"");
-    out.push_str(JOURNEYS_SCHEMA);
-    out.push_str("\",\"dropped\":");
-    push_u64(&mut out, dropped);
-    out.push_str(",\"journeys\":[");
-    for (i, j) in journeys.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        j.push_json(&mut out);
-    }
-    out.push_str("]}");
+    push_export_json(&mut out, journeys, dropped);
     out
+}
+
+/// Appends [`export_json`]'s document to `out`.
+pub fn push_export_json<'a>(
+    out: &mut String,
+    journeys: impl IntoIterator<Item = &'a Journey>,
+    dropped: u64,
+) {
+    let mut o = Obj::open(out);
+    o.str("schema", JOURNEYS_SCHEMA).u64("dropped", dropped);
+    let mut list = o.arr("journeys");
+    for j in journeys {
+        j.push_json(list.item());
+    }
 }
 
 #[cfg(test)]

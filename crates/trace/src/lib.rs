@@ -45,7 +45,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rocksteady_common::json::{push_u64, push_us};
+use rocksteady_common::json::Obj;
 use rocksteady_common::{Histogram, Nanos};
 
 pub mod journey;
@@ -781,75 +781,58 @@ impl Tracer {
     /// the nanosecond clock), so same-seed runs export byte-identical
     /// strings.
     pub fn export_chrome_json(&self) -> String {
-        self.with_events(Self::format_chrome_json)
+        self.export_chrome_json_since(0)
     }
 
     /// Exports only the events completing at or after `since` — the
     /// incident bundle's "last N ms" trace slice. Same format as
     /// [`Tracer::export_chrome_json`].
     pub fn export_chrome_json_since(&self, since: Nanos) -> String {
-        self.with_events(|events| Self::format_chrome_json(events.since(since)))
+        let mut out = String::new();
+        self.push_chrome_json_since(since, &mut out);
+        out
     }
 
-    fn format_chrome_json(events: Events<'_>) -> String {
-        // A traced run's average event (RPC instants with 12–14 args,
-        // flow ends, worker spans) exports to about 180 bytes.
-        let mut out = String::with_capacity(64 + events.len() * 180);
-        out.push_str("{\"traceEvents\":[");
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(ev.name);
-            out.push_str("\",\"cat\":\"");
-            out.push_str(ev.cat);
-            out.push_str(match ev.ph {
-                Phase::Span => "\",\"ph\":\"X\",\"ts\":",
-                Phase::Instant => "\",\"ph\":\"i\",\"ts\":",
-                Phase::Counter => "\",\"ph\":\"C\",\"ts\":",
-                Phase::FlowStart => "\",\"ph\":\"s\",\"ts\":",
-                Phase::FlowEnd => "\",\"ph\":\"f\",\"ts\":",
-            });
-            push_us(&mut out, ev.ts);
-            match ev.ph {
-                Phase::Span => {
-                    out.push_str(",\"dur\":");
-                    push_us(&mut out, ev.dur);
-                }
-                Phase::Instant => out.push_str(",\"s\":\"t\""),
-                Phase::Counter => {}
-                Phase::FlowStart | Phase::FlowEnd => {
-                    // Chrome flow events bind by top-level id; the
-                    // journey's trace id is recorded as the leading `flow`
-                    // arg.
-                    out.push_str(",\"id\":");
-                    let id = match ev.keys.first() {
-                        Some(&"flow") => ev.vals()[0],
-                        _ => 0,
-                    };
-                    push_u64(&mut out, id);
-                    if ev.ph == Phase::FlowEnd {
-                        out.push_str(",\"bp\":\"e\"");
+    /// Appends [`Tracer::export_chrome_json_since`]'s document to `out`.
+    pub fn push_chrome_json_since(&self, since: Nanos, out: &mut String) {
+        self.with_events(|events| {
+            let events = events.since(since);
+            // A traced run's average event (RPC instants with 12–14
+            // args, flow ends, worker spans) exports to about 180 bytes.
+            out.reserve(64 + events.len() * 180);
+            let mut doc = Obj::open(out);
+            let mut list = doc.arr("traceEvents");
+            for ev in events {
+                let mut o = list.obj();
+                o.str("name", ev.name).str("cat", ev.cat);
+                // Chrome flow events bind by top-level id; the journey's
+                // trace id is recorded as the leading `flow` arg.
+                let flow_id = || match ev.keys.first() {
+                    Some(&"flow") => ev.vals()[0],
+                    _ => 0,
+                };
+                match ev.ph {
+                    Phase::Span => o.str("ph", "X").us("ts", ev.ts).us("dur", ev.dur),
+                    Phase::Instant => o.str("ph", "i").us("ts", ev.ts).str("s", "t"),
+                    Phase::Counter => o.str("ph", "C").us("ts", ev.ts),
+                    Phase::FlowStart => o.str("ph", "s").us("ts", ev.ts).u64("id", flow_id()),
+                    Phase::FlowEnd => o
+                        .str("ph", "f")
+                        .us("ts", ev.ts)
+                        .u64("id", flow_id())
+                        .str("bp", "e"),
+                };
+                o.u64("pid", ev.pid).u64("tid", ev.tid);
+                if !ev.keys.is_empty() {
+                    let mut args = o.obj("args");
+                    for (k, v) in ev.args() {
+                        args.u64(k, v);
                     }
                 }
             }
-            out.push_str(",\"pid\":");
-            push_u64(&mut out, ev.pid);
-            out.push_str(",\"tid\":");
-            push_u64(&mut out, ev.tid);
-            let mut sep = ",\"args\":{\"";
-            for (k, v) in ev.args() {
-                out.push_str(sep);
-                out.push_str(k);
-                out.push_str("\":");
-                push_u64(&mut out, v);
-                sep = ",\"";
-            }
-            out.push_str(if ev.keys.is_empty() { "}" } else { "}}" });
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+            drop(list);
+            doc.str("displayTimeUnit", "ms");
+        });
     }
 
     /// Validates the trace: non-empty, completion-ordered (monotone
